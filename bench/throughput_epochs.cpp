@@ -1,6 +1,6 @@
 // Throughput: the longitudinal-service path (per-epoch churn → sharded
-// census → epoch store spill → manifest seal → re-merge) through the
-// streaming executor, over a fresh 3-epoch store.
+// census → epoch store spill → manifest seal → re-merge) through
+// engine::parallel_ordered, over a fresh 3-epoch store.
 #include <unistd.h>
 
 #include <filesystem>

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <set>
+#include <span>
 
 #include "engine/engine.hpp"
 #include "util/hex.hpp"
@@ -29,15 +30,44 @@ std::size_t alg_index(x509::key_algorithm a) {
   return 0;
 }
 
-void account_fields(const x509::certificate& cert,
+void account_fields(const x509::field_sizes& s,
                     std::array<stats::summary, 6>& sums) {
-  const auto& s = cert.sizes();
   sums[0].add(static_cast<double>(s.subject));
   sums[1].add(static_cast<double>(s.issuer));
   sums[2].add(static_cast<double>(s.public_key_info));
   sums[3].add(static_cast<double>(s.extensions));
   sums[4].add(static_cast<double>(s.signature));
   sums[5].add(static_cast<double>(s.other()));
+}
+
+/// What the corpus aggregates read of one certificate.
+struct cert_digest {
+  x509::field_sizes sizes;  // sizes.total is the DER size
+  x509::key_algorithm key_alg = x509::key_algorithm::ecdsa_p256;
+  std::string serial_hex;  // parents only: the Table 2 dedup key
+};
+
+/// What the corpus aggregates read of one chain. Workers reduce each
+/// chain to this on the thread that built it, so the executor window
+/// buffers a few hundred bytes per chain instead of whole certificates,
+/// and each chain is freed on the thread that built it.
+struct chain_digest {
+  std::size_t wire_size = 0;
+  std::size_t leaf_san_bytes = 0;
+  std::vector<cert_digest> certs;  // leaf first, then parents as served
+};
+
+chain_digest digest_chain(const x509::chain& chain) {
+  chain_digest d;
+  d.wire_size = chain.wire_size();
+  d.leaf_san_bytes = chain.leaf().san_bytes();
+  d.certs.reserve(chain.depth());
+  d.certs.push_back({chain.leaf().sizes(), chain.leaf().key_alg(), {}});
+  for (const auto& parent : chain.parents()) {
+    d.certs.push_back(
+        {parent->sizes(), parent->key_alg(), to_hex(parent->serial())});
+  }
+  return d;
 }
 
 struct profile_accumulator {
@@ -104,44 +134,48 @@ corpus_result analyze_corpus(const internet::model& m,
   engine::parallel_ordered(
       sample.size(), exec,
       [&](std::size_t i) {
-        return internet::fetch_chain(m, opt.chains, m.records()[sample[i]],
-                                     internet::fetch_protocol::https,
-                                     opt.profile);
+        return digest_chain(internet::fetch_chain(
+            m, opt.chains, m.records()[sample[i]],
+            internet::fetch_protocol::https, opt.profile));
       },
-      [&](std::size_t i, x509::chain&& chain) {
+      [&](std::size_t i, chain_digest&& chain) {
         const auto& rec = m.records()[sample[i]];
         const bool is_quic = rec.serves_quic();
         (is_quic ? quic_services : https_services) += 1;
-        const std::size_t chain_size = chain.wire_size();
+        const std::size_t chain_size = chain.wire_size;
         (is_quic ? out.quic_chain_sizes : out.https_chain_sizes)
             .add(static_cast<double>(chain_size));
+        const cert_digest& leaf = chain.certs.front();
+        const std::span<cert_digest> parents =
+            std::span(chain.certs).subspan(1);
 
         // Fig. 2b field sizes across every certificate in the corpus.
-        chain.for_each([&out](const x509::certificate& cert) {
-          const auto& s = cert.sizes();
+        for (const cert_digest& cert : chain.certs) {
+          const auto& s = cert.sizes;
           out.field_subject.add(static_cast<double>(s.subject));
           out.field_issuer.add(static_cast<double>(s.issuer));
           out.field_spki.add(static_cast<double>(s.public_key_info));
           out.field_extensions.add(static_cast<double>(s.extensions));
           out.field_signature.add(static_cast<double>(s.signature));
-        });
+        }
 
         // Fig. 8 (QUIC only): field means by chain-size and role.
         if (is_quic) {
           const std::size_t size_class = chain_size > 4000 ? 1 : 0;
-          account_fields(chain.leaf(), out.field_means[size_class][0]);
-          for (const auto& parent : chain.parents()) {
-            account_fields(*parent, out.field_means[size_class][1]);
+          account_fields(leaf.sizes, out.field_means[size_class][0]);
+          for (const cert_digest& parent : parents) {
+            account_fields(parent.sizes, out.field_means[size_class][1]);
           }
         }
 
         // Table 2: unique certificates per corpus side.
         const std::size_t side = is_quic ? 0 : 1;
-        ++out.alg_counts[side][0][alg_index(chain.leaf().key_alg())];
-        for (const auto& parent : chain.parents()) {
-          if (seen_nonleaf_serials[side].insert(to_hex(parent->serial()))
+        ++out.alg_counts[side][0][alg_index(leaf.key_alg)];
+        for (cert_digest& parent : parents) {
+          if (seen_nonleaf_serials[side]
+                  .insert(std::move(parent.serial_hex))
                   .second) {
-            ++out.alg_counts[side][1][alg_index(parent->key_alg())];
+            ++out.alg_counts[side][1][alg_index(parent.key_alg)];
           }
         }
 
@@ -151,26 +185,26 @@ corpus_result analyze_corpus(const internet::model& m,
                                : https_profiles)[rec.chain_profile];
           if (acc.count == 0) {
             acc.display = m.ecosystem().profile(rec.chain_profile).display;
-            for (const auto& parent : chain.parents()) {
-              acc.parent_sizes.push_back(parent->size());
+            for (const cert_digest& parent : parents) {
+              acc.parent_sizes.push_back(parent.sizes.total);
             }
           }
           ++acc.count;
-          acc.leaf_sizes.add(static_cast<double>(chain.leaf().size()));
+          acc.leaf_sizes.add(static_cast<double>(leaf.sizes.total));
         }
 
         // Fig. 14 (QUIC leaves): SAN byte share vs leaf size.
         if (is_quic) {
           ++out.leaves_total;
-          const auto& leaf = chain.leaf();
-          const double share = leaf.size() == 0
-                                   ? 0.0
-                                   : static_cast<double>(leaf.san_bytes()) /
-                                         static_cast<double>(leaf.size());
+          const std::size_t leaf_size = leaf.sizes.total;
+          const double share =
+              leaf_size == 0 ? 0.0
+                             : static_cast<double>(chain.leaf_san_bytes) /
+                                   static_cast<double>(leaf_size);
           out.san_shares.add(share);
-          quic_leaves.emplace_back(leaf.size(), share);
+          quic_leaves.emplace_back(leaf_size, share);
         }
-  });
+      });
 
   // "35% of all certificate chains exceed even the larger of the two
   // common amplification limits (3x1357)".

@@ -25,11 +25,6 @@ std::size_t resolved_threads(const options& opt) {
   return hw == 0 ? 1 : hw;
 }
 
-executor_mode resolved_mode(const options& opt) {
-  return opt.mode == executor_mode::automatic ? executor_mode_from_env()
-                                              : opt.mode;
-}
-
 void executor::run(const probe_plan& plan, observation_sink& sink) const {
   run(plan, sample(plan), sink);
 }

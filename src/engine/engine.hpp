@@ -7,11 +7,10 @@
 // run_backend with a backscatter_backend directly.
 //
 // parallel_ordered is the single execution primitive underneath it
-// all. It dispatches, per engine::options, between two bit-identical
-// implementations: the default lock-free streaming pipeline over SPSC
-// rings (engine/streaming_executor.hpp — no join barrier, results flow
-// to the consumer while workers are still probing) and the historical
-// chunk-and-join path kept below as the reference implementation.
+// all: workers claim fixed-size chunks of the index space dynamically,
+// park on a condition variable once they run a bounded window ahead of
+// the ordered consumer, and the caller's thread delivers every result
+// in plan order.
 //
 // Determinism rests on three invariants:
 //  1. every probe's randomness is a pure function of the plan and the
@@ -36,8 +35,8 @@
 
 #include "engine/probe_plan.hpp"
 #include "engine/sink.hpp"
-#include "engine/streaming_executor.hpp"
 #include "internet/model.hpp"
+#include "util/assert.hpp"
 
 namespace certquic::engine {
 
@@ -50,26 +49,11 @@ struct options {
   /// Probes per shard handed to a worker at a time. 0 resolves to the
   /// default via resolved_chunk().
   std::size_t chunk = 64;
-  /// Which parallel_ordered implementation to use. `automatic` defers
-  /// to $CERTQUIC_EXECUTOR ("streaming" | "chunked"), defaulting to
-  /// the lock-free streaming pipeline; both are bit-identical, so this
-  /// knob exists for A/B benchmarking and regression bisection, not
-  /// correctness.
-  executor_mode mode = executor_mode::automatic;
-  /// Per-worker SPSC ring capacity for the streaming executor, rounded
-  /// up to a power of two. 0 resolves to kDefaultRingCapacity.
-  std::size_t ring = 0;
-
   /// The effective chunk size; the single place the `0 means 64`
   /// default lives, shared by parallel_ordered and run_backend so the
   /// two paths cannot drift.
   [[nodiscard]] std::size_t resolved_chunk() const noexcept {
     return chunk == 0 ? 64 : chunk;
-  }
-
-  /// The effective streaming-ring capacity.
-  [[nodiscard]] std::size_t resolved_ring() const noexcept {
-    return ring == 0 ? kDefaultRingCapacity : ring;
   }
 
   [[nodiscard]] static options serial() { return {.threads = 1}; }
@@ -79,9 +63,39 @@ struct options {
 /// never returns 0.
 [[nodiscard]] std::size_t resolved_threads(const options& opt);
 
-/// Resolves options::mode against $CERTQUIC_EXECUTOR; never returns
-/// `automatic`.
-[[nodiscard]] executor_mode resolved_mode(const options& opt);
+/// How many chunks the workers of parallel_ordered may run ahead of
+/// the ordered consumer. Every chunk that is being computed, buffered
+/// or consumed lies in that window, so at most
+/// window_chunks(threads) * chunk results are alive at once (plus one
+/// under construction per worker), however slow consume is.
+[[nodiscard]] constexpr std::size_t window_chunks(std::size_t threads) {
+  return std::max<std::size_t>(4 * threads, 8);
+}
+
+/// Debug-only sequencer-ticket monotonicity check: the ordered consumer
+/// must see tickets 0, 1, 2, ... with no gap, duplicate or reordering —
+/// the invariant that makes parallel aggregation bit-identical to
+/// serial. advance(t) asserts t is exactly the next expected ticket in
+/// CERTQUIC_ENABLE_ASSERTS builds (death-tested by executor_test) and
+/// compiles to nothing in release builds.
+class sequencer_ticket {
+ public:
+  void advance(std::size_t ticket) noexcept {
+#if defined(CERTQUIC_ENABLE_ASSERTS)
+    CERTQUIC_ASSERT(ticket == next_,
+                    "sequencer ticket left plan order — ordered delivery "
+                    "must be monotone ascending with no gaps");
+    ++next_;
+#else
+    (void)ticket;
+#endif
+  }
+
+#if defined(CERTQUIC_ENABLE_ASSERTS)
+ private:
+  std::size_t next_ = 0;
+#endif
+};
 
 /// Ordered parallel map: computes work(i) for i in [0, n) on a worker
 /// pool, then calls consume(i, result) for every i in ascending order
@@ -104,13 +118,6 @@ void parallel_ordered(std::size_t n, const options& opt, Work&& work,
     return;
   }
 
-  if (resolved_mode(opt) == executor_mode::streaming) {
-    streaming_parallel_ordered(n, threads, opt.resolved_chunk(),
-                               opt.resolved_ring(), std::forward<Work>(work),
-                               std::forward<Consume>(consume));
-    return;
-  }
-
   const std::size_t chunk = opt.resolved_chunk();
   const std::size_t chunks = (n + chunk - 1) / chunk;
   // Backpressure: workers stall once they are `window` chunks ahead of
@@ -118,7 +125,7 @@ void parallel_ordered(std::size_t n, const options& opt, Work&& work,
   // when consume is slower than work. window >= 1 cannot deadlock: a
   // worker waits only on chunks strictly above the consume frontier,
   // and the frontier chunk is always claimed before any waiter's.
-  const std::size_t window = std::max<std::size_t>(4 * threads, 8);
+  const std::size_t window = window_chunks(threads);
   std::vector<std::unique_ptr<std::vector<result_t>>> done(chunks);
   std::mutex mu;
   std::condition_variable cv;
@@ -186,13 +193,16 @@ void parallel_ordered(std::size_t n, const options& opt, Work&& work,
       if (failed.load()) {
         break;
       }
-      const auto results = std::move(done[c]);
+      auto results = std::move(done[c]);
       lock.unlock();
       const std::size_t lo = c * chunk;
       for (std::size_t j = 0; j < results->size(); ++j) {
         ticket.advance(lo + j);
         consume(lo + j, std::move((*results)[j]));
       }
+      // Free the chunk outside the lock and before its window slot
+      // reopens, so the live-result bound of window_chunks holds.
+      results.reset();
       lock.lock();
       ++consumed_chunks;
       cv.notify_all();  // release workers stalled on the window

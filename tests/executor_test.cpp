@@ -1,13 +1,12 @@
-// Streaming-executor tests: the SPSC-ring pipeline must be
-// bit-identical to the historical chunk-and-join path at 1/2/8/16
-// threads across both the reach (census) and backscatter backends, must
-// keep workers producing while a slow sink drains (no join barrier),
-// must survive degenerate ring capacities, must propagate worker and
-// sink exceptions, and must die on a sequencer-ticket monotonicity
-// violation in assert-enabled builds.
+// Executor tests: parallel_ordered must be bit-identical to the serial
+// loop at 2/8/16 threads across both the reach (census) and backscatter
+// backends, must deliver in plan order even with one-item chunks, must
+// propagate worker and sink exceptions, must hold buffered results to
+// its documented window while the sink stalls, and must die on a
+// sequencer-ticket monotonicity violation in assert-enabled builds.
 #include <atomic>
+#include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -20,7 +19,6 @@
 #include "core/census.hpp"
 #include "engine/backend.hpp"
 #include "engine/engine.hpp"
-#include "engine/streaming_executor.hpp"
 
 namespace certquic {
 namespace {
@@ -85,25 +83,18 @@ std::string census_digest(engine::options opt) {
   return digest(core::run_census(shared_model(), census_opt, opt));
 }
 
-TEST(StreamingExecutor, CensusMatchesChunkedPathAtEveryThreadCount) {
-  // The reach backend through both executors: byte-identical aggregates
-  // at 1/2/8/16 threads, and both equal to serial.
+TEST(Executor, CensusMatchesSerialAtEveryThreadCount) {
+  // The reach backend: byte-identical aggregates at 2/8/16 threads.
   const std::string serial = census_digest(engine::options::serial());
-  for (const std::size_t threads : {1UL, 2UL, 8UL, 16UL}) {
-    const std::string streaming = census_digest(
-        {.threads = threads, .mode = engine::executor_mode::streaming});
-    const std::string chunked = census_digest(
-        {.threads = threads, .mode = engine::executor_mode::chunked});
-    EXPECT_EQ(serial, streaming)
-        << "streaming diverged from serial at " << threads << " threads";
-    EXPECT_EQ(streaming, chunked)
-        << "executors diverged at " << threads << " threads";
+  for (const std::size_t threads : {2UL, 8UL, 16UL}) {
+    EXPECT_EQ(serial, census_digest({.threads = threads}))
+        << "census diverged from serial at " << threads << " threads";
   }
 }
 
-TEST(StreamingExecutor, BackscatterBackendMatchesChunkedPath) {
+TEST(Executor, BackscatterBackendMatchesSerial) {
   // The shared-world backend through run_backend: per-unit outcomes in
-  // plan order must be identical across executors and thread counts.
+  // plan order must be identical at every thread count.
   const auto plan = core::build_telescope_plan(
       shared_model(), {.sessions_per_provider = 20});
   const engine::backscatter_backend backend{plan};
@@ -119,55 +110,18 @@ TEST(StreamingExecutor, BackscatterBackendMatchesChunkedPath) {
   const auto serial = collect(engine::options::serial());
   ASSERT_EQ(serial.size(), plan.sessions.size());
   for (const std::size_t threads : {2UL, 8UL, 16UL}) {
-    EXPECT_EQ(serial,
-              collect({.threads = threads,
-                       .mode = engine::executor_mode::streaming}))
-        << "streaming backscatter diverged at " << threads << " threads";
-    EXPECT_EQ(serial, collect({.threads = threads,
-                               .mode = engine::executor_mode::chunked}))
-        << "chunked backscatter diverged at " << threads << " threads";
+    EXPECT_EQ(serial, collect({.threads = threads}))
+        << "backscatter diverged at " << threads << " threads";
   }
 }
 
-TEST(StreamingExecutor, WorkersKeepProducingWhileSinkStalls) {
-  // The no-join-barrier property: park the sequencer inside the very
-  // first consume call until every work(i) has run. Under chunk-and-join
-  // windowing workers would stall long before n items; under streaming,
-  // each worker owns 64 items and a 128-slot ring, so all n results are
-  // produced while consume(0) is still blocked.
-  constexpr std::size_t kN = 256;
-  std::atomic<std::size_t> produced{0};
-  std::vector<std::size_t> order;
-  order.reserve(kN);
-  engine::streaming_parallel_ordered(
-      kN, /*threads=*/4, /*chunk=*/16, /*ring_capacity=*/128,
-      [&](std::size_t i) {
-        produced.fetch_add(1);
-        return i * 3;
-      },
-      [&](std::size_t i, std::size_t result) {
-        if (i == 0) {
-          while (produced.load() < kN) {
-            std::this_thread::yield();
-          }
-        }
-        EXPECT_EQ(result, i * 3);
-        order.push_back(i);
-      });
-  ASSERT_EQ(order.size(), kN);
-  for (std::size_t i = 0; i < kN; ++i) {
-    EXPECT_EQ(order[i], i) << "delivery left plan order";
-  }
-}
-
-TEST(StreamingExecutor, CapacityOneRingsStillDeliverInPlanOrder) {
-  // Degenerate ring: every push waits for the matching pop, maximizing
-  // producer/sequencer interleaving. Order and values must still hold.
+TEST(Executor, OneItemChunksStillDeliverInPlanOrder) {
+  // One item per chunk maximizes claim/consume interleaving. Order and
+  // values must still hold.
   constexpr std::size_t kN = 257;
   std::size_t expected = 0;
-  engine::streaming_parallel_ordered(
-      kN, /*threads=*/8, /*chunk=*/4, /*ring_capacity=*/1,
-      [](std::size_t i) { return i + 1; },
+  engine::parallel_ordered(
+      kN, {.threads = 8, .chunk = 1}, [](std::size_t i) { return i + 1; },
       [&](std::size_t i, std::size_t result) {
         EXPECT_EQ(i, expected);
         EXPECT_EQ(result, i + 1);
@@ -176,53 +130,113 @@ TEST(StreamingExecutor, CapacityOneRingsStillDeliverInPlanOrder) {
   EXPECT_EQ(expected, kN);
 }
 
-TEST(StreamingExecutor, PropagatesWorkerExceptions) {
+TEST(Executor, PropagatesWorkerExceptions) {
   std::atomic<std::size_t> consumed{0};
-  EXPECT_THROW(
-      engine::streaming_parallel_ordered(
-          1000, /*threads=*/4, /*chunk=*/8, /*ring_capacity=*/16,
-          [](std::size_t i) {
-            if (i == 57) {
-              throw std::runtime_error("probe failed");
-            }
-            return i;
-          },
-          [&](std::size_t, std::size_t) { consumed.fetch_add(1); }),
-      std::runtime_error);
+  EXPECT_THROW(engine::parallel_ordered(
+                   1000, {.threads = 4, .chunk = 8},
+                   [](std::size_t i) {
+                     if (i == 57) {
+                       throw std::runtime_error("probe failed");
+                     }
+                     return i;
+                   },
+                   [&](std::size_t, std::size_t) { consumed.fetch_add(1); }),
+               std::runtime_error);
   EXPECT_LE(consumed.load(), 57u) << "consume must stop at the failure";
 }
 
-TEST(StreamingExecutor, PropagatesConsumeExceptions) {
+TEST(Executor, PropagatesConsumeExceptions) {
   std::atomic<std::size_t> worked{0};
-  EXPECT_THROW(
-      engine::streaming_parallel_ordered(
-          1000, /*threads=*/4, /*chunk=*/8, /*ring_capacity=*/16,
-          [&](std::size_t i) {
-            worked.fetch_add(1);
-            return i;
-          },
-          [](std::size_t i, std::size_t) {
-            if (i == 10) {
-              throw std::runtime_error("sink failed");
-            }
-          }),
-      std::runtime_error);
-  // Cancellation is prompt: workers see the failure flag and bail well
-  // before the full index space.
+  EXPECT_THROW(engine::parallel_ordered(
+                   1000, {.threads = 4, .chunk = 8},
+                   [&](std::size_t i) {
+                     worked.fetch_add(1);
+                     return i;
+                   },
+                   [](std::size_t i, std::size_t) {
+                     if (i == 10) {
+                       throw std::runtime_error("sink failed");
+                     }
+                   }),
+               std::runtime_error);
+  // Cancellation is prompt: the window stops workers well before the
+  // full index space.
   EXPECT_LT(worked.load(), 1000u);
 }
 
-TEST(StreamingExecutor, EnvSelectsExecutorMode) {
-  // options::mode wins over the environment; automatic defers to it.
-  EXPECT_EQ(engine::resolved_mode({.mode = engine::executor_mode::chunked}),
-            engine::executor_mode::chunked);
-  EXPECT_EQ(engine::resolved_mode({.mode = engine::executor_mode::streaming}),
-            engine::executor_mode::streaming);
-  // Default environment in the test harness has no CERTQUIC_EXECUTOR:
-  // automatic resolves to streaming.
-  if (std::getenv("CERTQUIC_EXECUTOR") == nullptr) {
-    EXPECT_EQ(engine::resolved_mode({}), engine::executor_mode::streaming);
+/// A result that counts its live instances (moved-from ones included,
+/// since they still occupy a slot until destroyed) and the peak.
+class counted {
+ public:
+  static std::atomic<long> live;
+  static std::atomic<long> peak;
+
+  explicit counted(std::size_t value) : value_(value) { enter(); }
+  counted(const counted& other) : value_(other.value_) { enter(); }
+  counted(counted&& other) noexcept : value_(other.value_) { enter(); }
+  counted& operator=(const counted&) = default;
+  counted& operator=(counted&&) noexcept = default;
+  ~counted() { live.fetch_sub(1); }
+
+  [[nodiscard]] std::size_t value() const noexcept { return value_; }
+
+ private:
+  static void enter() {
+    const long now = live.fetch_add(1) + 1;
+    long seen = peak.load();
+    while (now > seen && !peak.compare_exchange_weak(seen, now)) {
+    }
   }
+
+  std::size_t value_;
+};
+
+std::atomic<long> counted::live{0};
+std::atomic<long> counted::peak{0};
+
+TEST(Executor, StalledSinkHoldsBufferedResultsToTheWindow) {
+  // Park the ordered consumer inside consume(0). Workers fill the
+  // window (chunks 0 .. window-1) and then wait; no worker may compute
+  // past it, and the live results never exceed window * chunk plus one
+  // under construction per worker.
+  constexpr std::size_t kThreads = 4;
+  constexpr std::size_t kChunk = 4;
+  const std::size_t window = engine::window_chunks(kThreads);
+  const std::size_t kN = 4 * window * kChunk;
+  counted::live = 0;
+  counted::peak = 0;
+  std::atomic<std::size_t> produced{0};
+  std::size_t produced_while_stalled = 0;
+  std::size_t delivered = 0;
+  engine::parallel_ordered(
+      kN, {.threads = kThreads, .chunk = kChunk},
+      [&](std::size_t i) {
+        produced.fetch_add(1);
+        return counted{i};
+      },
+      [&](std::size_t i, counted&& result) {
+        if (i == 0) {
+          const auto deadline =
+              std::chrono::steady_clock::now() + std::chrono::seconds(10);
+          while (produced.load() < window * kChunk &&
+                 std::chrono::steady_clock::now() < deadline) {
+            std::this_thread::yield();
+          }
+          // Give a worker that ignored the window time to show it.
+          std::this_thread::sleep_for(std::chrono::milliseconds(50));
+          produced_while_stalled = produced.load();
+        }
+        EXPECT_EQ(result.value(), i);
+        EXPECT_EQ(i, delivered) << "delivery left plan order";
+        ++delivered;
+      });
+  EXPECT_EQ(delivered, kN);
+  EXPECT_EQ(produced_while_stalled, window * kChunk)
+      << "workers must fill the window and stop at its edge";
+  EXPECT_LE(counted::peak.load(),
+            static_cast<long>(window * kChunk + kThreads))
+      << "buffered results exceeded the documented window bound";
+  EXPECT_EQ(counted::live.load(), 0);
 }
 
 #if defined(CERTQUIC_ENABLE_ASSERTS)

@@ -31,11 +31,11 @@ bool in_aggregator_paths(const std::string& relative_path) {
          starts_with(relative_path, "service/");
 }
 
-/// atomic-plain applies where lock-free executor code lives: plain
-/// (memberless) use of a std::atomic both hides the intended ordering
-/// (implicit seq_cst reads as "unconsidered") and breaks the ring's
-/// documented acquire/release contract when someone reaches for
-/// `head_ == tail_` instead of an explicit acquire load.
+/// atomic-plain applies where the executor's atomics live (the chunk
+/// cursor and the cancellation flag): plain (memberless) use of a
+/// std::atomic hides the intended ordering (implicit seq_cst reads as
+/// "unconsidered") and invites `head_ == tail_` where an explicit
+/// acquire load is required.
 bool in_executor_paths(const std::string& relative_path) {
   return starts_with(relative_path, "engine/");
 }
@@ -272,8 +272,7 @@ void lint_scanned(const std::string& relative_path,
                          "plain use of std::atomic '" + name +
                              "' — implicit seq_cst hides the intended "
                              "ordering; use an explicit .load/.store with "
-                             "the memory order the protocol requires "
-                             "(acquire/release for ring cursors)",
+                             "the memory order the protocol requires",
                          raw});
           break;
         }

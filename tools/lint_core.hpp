@@ -33,13 +33,12 @@
 //                   explicitly waived scheme.
 //   atomic-plain    plain (memberless) use of a variable declared
 //                   std::atomic in engine/ — e.g. `head_ == tail_` or
-//                   `flag = true` where the lock-free ring protocol
-//                   requires an explicit .load(acquire) /
-//                   .store(release). Implicit seq_cst compiles and
-//                   races-free under TSan, but it hides the intended
-//                   ordering and invites the plain-load-where-acquire-
-//                   is-required misuse the streaming executor's rings
-//                   depend on never happening.
+//                   `flag = true` where the code should name its
+//                   memory order with an explicit .load() / .store().
+//                   Implicit seq_cst compiles and races-free under
+//                   TSan, but it hides the intended ordering and
+//                   invites the plain-load-where-acquire-is-required
+//                   misuse that lock-free code must never contain.
 //
 // The scanner is token-level: every rule matches against the blanked
 // code view produced by analyze::scan_source (tools/analyze_core.*),

@@ -320,7 +320,7 @@ if [ "$sanitize" -eq 1 ]; then
   cmake -B build-tsan -S . -DCERTQUIC_WERROR=ON -DCERTQUIC_SANITIZE=thread
   cmake --build build-tsan -j "$jobs"
   (cd build-tsan && ctest --output-on-failure -j "$jobs" "$@" -R \
-    '^(engine_test|backend_test|ring_test|executor_test|outofcore_test|service_test|ttfb_test|stats_test|net_test)$')
+    '^(engine_test|backend_test|executor_test|outofcore_test|service_test|ttfb_test|stats_test|net_test)$')
 
   echo "OK   sanitize: ASan+UBSan tier-1 and TSan threaded suites clean"
   exit 0
