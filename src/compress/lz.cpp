@@ -158,6 +158,9 @@ bytes lz_decompress(bytes_view compressed, bytes_view dictionary) {
     if (lit_len > compressed.size() - pos) {
       throw codec_error("literal run truncated");
     }
+    if (lit_len > kMaxDecompressed - out.size()) {
+      throw codec_error("decompressed size exceeds limit");
+    }
     out.insert(out.end(), compressed.begin() + static_cast<long>(pos),
                compressed.begin() + static_cast<long>(pos + lit_len));
     pos += lit_len;
@@ -171,6 +174,9 @@ bytes lz_decompress(bytes_view compressed, bytes_view dictionary) {
     }
     if (dist > out.size() + dictionary.size()) {
       throw codec_error("match distance exceeds history");
+    }
+    if (len > kMaxDecompressed - out.size()) {
+      throw codec_error("decompressed size exceeds limit");
     }
     for (std::uint64_t i = 0; i < len; ++i) {
       std::uint8_t value;

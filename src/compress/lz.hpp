@@ -24,6 +24,12 @@ namespace certquic::compress {
 /// Minimum back-reference length worth encoding.
 inline constexpr std::size_t kMinMatch = 4;
 
+/// Largest output lz_decompress produces: RFC 8879 carries the
+/// uncompressed length as a uint24, so a larger decode can only come
+/// from a hostile or corrupt stream (a tiny match token may claim any
+/// length).
+inline constexpr std::size_t kMaxDecompressed = (std::size_t{1} << 24) - 1;
+
 /// Tuning knobs differentiating the algorithm presets.
 struct lz_params {
   /// Maximum back-reference distance (window), including dictionary.
@@ -39,7 +45,8 @@ struct lz_params {
                                 const lz_params& params = {});
 
 /// Reverses lz_compress; requires the same dictionary bytes.
-/// Throws codec_error on malformed streams.
+/// Throws codec_error on malformed streams and on output that would
+/// exceed kMaxDecompressed.
 [[nodiscard]] bytes lz_decompress(bytes_view compressed, bytes_view dictionary);
 
 /// Unsigned LEB128 used by the token stream (exposed for tests).

@@ -49,7 +49,7 @@ analysis_result analyze_fixture(const std::string& tree) {
   const std::string root = kFixtureRoot + "/" + tree + "/src";
   const layer_spec spec =
       load_layer_spec(kFixtureRoot + "/" + tree + "/layers.txt");
-  return analyze_tree(lint::collect_sources(root), root, spec, {});
+  return analyze_tree(lint::collect_sources(root), root, spec);
 }
 
 // ---------------------------------------------------------- scanner
@@ -191,9 +191,9 @@ TEST(AnalyzeFixtures, BadSpecsThrow) {
 TEST(AnalyzeRealTree, SrcIsCleanAgainstCheckedInSpecAndWaivers) {
   const layer_spec spec = load_layer_spec(kLayersFile);
   const analysis_result r =
-      analyze_tree(lint::collect_sources(kSrcRoot), kSrcRoot, spec, {});
-  const lint::report rep = lint::apply_waivers(
-      r.findings, lint::load_waivers(kWaiverFile), lint::all_rules());
+      analyze_tree(lint::collect_sources(kSrcRoot), kSrcRoot, spec);
+  const lint::report rep =
+      lint::apply_waivers(r.findings, lint::load_waivers(kWaiverFile));
   for (const lint::finding& f : rep.findings) {
     ADD_FAILURE() << f.path << ":" << f.line << ": [" << f.rule << "] "
                   << f.message << "\n    " << f.source_line;
@@ -226,7 +226,7 @@ TEST(AnalyzeRealTree, LayerSpecMatchesSrcModulesBothWays) {
 TEST(AnalyzeRealTree, DepgraphAgreesWithSpecAndDisk) {
   const layer_spec spec = load_layer_spec(kLayersFile);
   const analysis_result r =
-      analyze_tree(lint::collect_sources(kSrcRoot), kSrcRoot, spec, {});
+      analyze_tree(lint::collect_sources(kSrcRoot), kSrcRoot, spec);
   std::set<std::string> spec_modules;
   for (const auto& [module, layer] : spec.layer_of) {
     spec_modules.insert(module);

@@ -108,6 +108,38 @@ TEST(Lz, DecompressRejectsCorruptStreams) {
   EXPECT_THROW((void)lz_decompress(zero_dist, {}), codec_error);
 }
 
+TEST(Lz, DecompressRejectsASingleHugeMatch) {
+  // Seven bytes: literal 'A', then one match (distance 1) claiming
+  // 2^26 bytes. Without the output cap this decodes to 64 MiB.
+  bytes bomb;
+  write_varint(bomb, 1);
+  bomb.push_back('A');
+  write_varint(bomb, 1);
+  write_varint(bomb, std::uint64_t{1} << 26);
+  ASSERT_EQ(bomb.size(), 7u);
+  EXPECT_THROW((void)lz_decompress(bomb, {}), codec_error);
+}
+
+TEST(Lz, DecompressCapsTheTotalOfManyMatches) {
+  // Literal 'A', then `count` distance-1 matches of `len` bytes, each
+  // followed by an empty literal run. The cap is on the total output.
+  const auto stream = [](std::size_t count, std::size_t len) {
+    bytes out;
+    write_varint(out, 1);
+    out.push_back('A');
+    for (std::size_t i = 0; i < count; ++i) {
+      write_varint(out, 1);
+      write_varint(out, len);
+      write_varint(out, 0);
+    }
+    return out;
+  };
+  EXPECT_EQ(lz_decompress(stream(1, kMaxDecompressed - 1), {}).size(),
+            kMaxDecompressed);
+  // 256 matches of 64 KiB each: harmless alone, just over the cap together.
+  EXPECT_THROW((void)lz_decompress(stream(256, 1u << 16), {}), codec_error);
+}
+
 TEST(Lz, MatchMayReachAcrossDictionaryBoundary) {
   const bytes dictionary = to_bytes("abcdefgh");
   // Input starts with dictionary suffix + its own prefix repeated.

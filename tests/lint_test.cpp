@@ -1,14 +1,10 @@
 // Tier-1 suite for the determinism lint (tools/lint_core.*).
 //
-// Two halves:
-//   1. Fixture scan — tests/lint_fixtures/ contains one known
-//      violation per rule (plus an inline-waived site and a
-//      file-waived site); the exact finding set is asserted.
-//   2. Real-tree scan — src/ must lint clean against the checked-in
-//      tools/lint_waivers.txt, with no stale waivers. This is the
-//      same gate tools/verify.sh runs; keeping it tier-1 means a
-//      nondeterminism hazard cannot land without either a fix or a
-//      reviewed waiver.
+// Fixture scan: tests/lint_fixtures/ contains one known violation per
+// rule (plus an inline-waived site and a file-waived site); the exact
+// finding set is asserted. The real src/ tree is checked against
+// tools/lint_waivers.txt by analyze_test, which runs these five rules
+// as part of the full analysis.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -32,8 +28,6 @@ std::vector<std::tuple<std::string, std::size_t, std::string>> keys(
 }
 
 const std::string kFixtureRoot = CERTQUIC_LINT_FIXTURE_DIR;
-const std::string kSrcRoot = CERTQUIC_LINT_SRC_DIR;
-const std::string kWaiverFile = CERTQUIC_LINT_WAIVER_FILE;
 
 TEST(LintFixtures, FindsExactlyTheKnownViolations) {
   const auto files = collect_sources(kFixtureRoot);
@@ -134,7 +128,7 @@ TEST(LintFixtures, StaleWaiverIsReported) {
 }
 
 TEST(LintFixtures, MalformedWaiverFilesThrow) {
-  EXPECT_THROW((void)load_waivers(kSrcRoot + "/does-not-exist.txt"),
+  EXPECT_THROW((void)load_waivers(kFixtureRoot + "/does-not-exist.txt"),
                std::exception);
 }
 
@@ -152,39 +146,6 @@ TEST(LintRules, KnownRuleIds) {
   EXPECT_TRUE(known_rule("self-contained"));
   EXPECT_TRUE(known_rule("unused-include"));
   EXPECT_FALSE(known_rule("made-up-rule"));
-}
-
-TEST(LintRules, OutOfScopeWaiversAreNeitherAppliedNorStale) {
-  // An analyzer-rule waiver must not be reported stale by a lint-only
-  // run (lint_rules scope), but must participate under all_rules.
-  waiver w;
-  w.rule = "unused-include";
-  w.path = "mod/dead.cpp";
-  w.substring = "*";
-  w.reason = "scope test";
-  w.file_line = 1;
-  const report lint_scope = apply_waivers({}, {w}, lint_rules());
-  EXPECT_TRUE(lint_scope.clean());
-  const report full_scope = apply_waivers({}, {w}, all_rules());
-  ASSERT_EQ(full_scope.unused_waivers.size(), 1u);
-  EXPECT_EQ(full_scope.unused_waivers[0].rule, "unused-include");
-}
-
-TEST(LintRealTree, SrcLintsCleanAgainstCheckedInWaivers) {
-  const auto files = collect_sources(kSrcRoot);
-  ASSERT_GT(files.size(), 50u);  // sanity: the whole tree was scanned
-  const auto waivers = load_waivers(kWaiverFile);
-  const report rep = lint_files(files, kSrcRoot, waivers);
-  for (const finding& f : rep.findings) {
-    ADD_FAILURE() << f.path << ":" << f.line << ": [" << f.rule << "] "
-                  << f.message << "\n    " << f.source_line;
-  }
-  for (const waiver& w : rep.unused_waivers) {
-    ADD_FAILURE() << "stale waiver (line " << w.file_line
-                  << " of lint_waivers.txt): " << w.rule << "|" << w.path
-                  << "|" << w.substring;
-  }
-  EXPECT_TRUE(rep.clean());
 }
 
 }  // namespace

@@ -208,7 +208,7 @@ scanned_file scan_source(const std::string& content) {
 layer_spec load_layer_spec(const std::string& path) {
   std::ifstream in{path};
   if (!in) {
-    throw config_error("certquic_analyze: cannot read layer spec " + path);
+    throw config_error("cannot read layer spec " + path);
   }
   layer_spec spec;
   spec.source_path = path;
@@ -225,9 +225,8 @@ layer_spec load_layer_spec(const std::string& path) {
     std::string module;
     while (fields >> module) {
       if (spec.layer_of.count(module) != 0) {
-        throw config_error("certquic_analyze: layer spec line " +
-                           std::to_string(line_no) + " names module '" +
-                           module + "' twice");
+        throw config_error("layer spec line " + std::to_string(line_no) +
+                           " names module '" + module + "' twice");
       }
       spec.layer_of[module] = spec.layers.size();
       spec.spec_line_of[module] = line_no;
@@ -238,8 +237,7 @@ layer_spec load_layer_spec(const std::string& path) {
     }
   }
   if (spec.layers.empty()) {
-    throw config_error("certquic_analyze: layer spec " + path +
-                       " declares no layers");
+    throw config_error("layer spec " + path + " declares no layers");
   }
   return spec;
 }
@@ -256,7 +254,7 @@ struct loaded_file {
 std::string read_file(const std::string& path) {
   std::ifstream in{path, std::ios::binary};
   if (!in) {
-    throw config_error("certquic_analyze: cannot read " + path);
+    throw config_error("cannot read " + path);
   }
   std::ostringstream out;
   out << in.rdbuf();
@@ -575,8 +573,7 @@ void check_hygiene(const std::vector<loaded_file>& files,
 }  // namespace
 
 analysis_result analyze_tree(const std::vector<std::string>& files,
-                             const std::string& root, const layer_spec& spec,
-                             const analysis_options& opts) {
+                             const std::string& root, const layer_spec& spec) {
   analysis_result result;
   std::vector<loaded_file> loaded;
   loaded.reserve(files.size());
@@ -584,18 +581,16 @@ analysis_result analyze_tree(const std::vector<std::string>& files,
   for (const std::string& file : files) {
     std::string content = read_file(file);
     const std::string relative = relativize(file, root);
-    if (opts.run_lint) {
-      lint_inputs.emplace_back(relative, content);
-    }
     loaded.push_back({relative, scan_source(content)});
+    lint_inputs.emplace_back(relative, std::move(content));
   }
   std::sort(loaded.begin(), loaded.end(),
             [](const loaded_file& a, const loaded_file& b) {
               return a.relative < b.relative;
             });
 
-  // The module include graph — built unconditionally, because the
-  // depgraph artifacts are derived from it even when layering is off.
+  // The module include graph: the layering pass checks it and the
+  // depgraph artifacts are derived from it.
   std::set<std::string> known;
   for (const loaded_file& f : loaded) {
     known.insert(f.relative);
@@ -627,19 +622,9 @@ analysis_result analyze_tree(const std::vector<std::string>& files,
     }
   }
 
-  if (opts.run_lint) {
-    std::vector<lint::finding> lint_findings =
-        lint::lint_sources(lint_inputs);
-    result.findings.insert(result.findings.end(),
-                           std::make_move_iterator(lint_findings.begin()),
-                           std::make_move_iterator(lint_findings.end()));
-  }
-  if (opts.run_layering) {
-    check_layering(root, spec, result.graph, result.findings);
-  }
-  if (opts.run_hygiene) {
-    check_hygiene(loaded, result.findings);
-  }
+  result.findings = lint::lint_sources(lint_inputs);
+  check_layering(root, spec, result.graph, result.findings);
+  check_hygiene(loaded, result.findings);
   std::sort(result.findings.begin(), result.findings.end(),
             [](const lint::finding& a, const lint::finding& b) {
               return std::tie(a.path, a.line, a.rule) <

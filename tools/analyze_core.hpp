@@ -115,13 +115,6 @@ struct module_graph {
   std::map<std::pair<std::string, std::string>, std::vector<site>> edges;
 };
 
-/// Which passes to run (the CLI runs all three; tests isolate them).
-struct analysis_options {
-  bool run_lint = true;      // the five determinism rules (lint_core)
-  bool run_layering = true;  // layer spec conformance + cycles + drift
-  bool run_hygiene = true;   // pragma-once / self-contained / unused-include
-};
-
 /// Everything one analysis run produces: unwaived findings (apply
 /// waivers with lint::apply_waivers) plus the include graph for the
 /// depgraph artifacts.
@@ -130,13 +123,14 @@ struct analysis_result {
   module_graph graph;
 };
 
-/// Analyzes files (absolute paths under `root`). The module drift
-/// check additionally enumerates `root`'s subdirectories, so a module
+/// Analyzes files (absolute paths under `root`) with every pass: the
+/// five lint rules, layering and hygiene. The module drift check
+/// additionally enumerates `root`'s subdirectories, so a module
 /// escapes neither by being left out of the file list nor by being
 /// left out of the spec. Throws config_error on unreadable files.
 [[nodiscard]] analysis_result analyze_tree(
     const std::vector<std::string>& files, const std::string& root,
-    const layer_spec& spec, const analysis_options& opts);
+    const layer_spec& spec);
 
 /// The dependency-graph artifacts. JSON schema (all arrays sorted):
 ///   {"root": "src",

@@ -1,6 +1,6 @@
-// certquic_analyze — architecture analyzer over src/ (see
+// certquic_analyze — the repo's one static gate over src/ (see
 // analyze_core.hpp for the scanner, the layering and hygiene passes,
-// and lint_core.hpp for the five migrated determinism rules).
+// and lint_core.hpp for the five determinism lint rules).
 //
 // Usage:
 //   certquic_analyze --root <srcdir> --layers <spec>
@@ -8,9 +8,9 @@
 //                    [--self-scan <toolsdir>] [files...]
 //
 // With no file arguments, every .hpp/.cpp under --root is scanned.
-// One run executes all passes — lint + layering + hygiene — with ALL
-// rule ids in waiver scope, so this is also the complete stale-waiver
-// check. --out-dir writes depgraph.json and depgraph.dot there.
+// One run executes all passes — lint + layering + hygiene — against
+// every waiver, so this is also the complete stale-waiver check.
+// --out-dir writes depgraph.json and depgraph.dot there.
 // --self-scan additionally runs the nondet-source rule over the given
 // tools directory: the analyzer obeys its own no-wall-clock rule.
 // Exit status: 0 clean, 1 findings or stale waivers, 2 usage/IO error.
@@ -39,7 +39,7 @@ int usage(const char* argv0) {
 void write_artifact(const std::string& path, const std::string& content) {
   std::ofstream out{path, std::ios::binary};
   if (!out) {
-    throw certquic::config_error("certquic_analyze: cannot write " + path);
+    throw certquic::config_error("cannot write " + path);
   }
   out << content;
 }
@@ -86,7 +86,7 @@ int main(int argc, char** argv) {
     }
 
     certquic::analyze::analysis_result result =
-        certquic::analyze::analyze_tree(files, root, spec, {});
+        certquic::analyze::analyze_tree(files, root, spec);
 
     // The self-scan: nondet-source over the tool sources themselves,
     // reported under "<dirname>/..." so waivers could name them (none
@@ -99,8 +99,7 @@ int main(int argc, char** argv) {
            certquic::lint::collect_sources(self_scan_dir)) {
         std::ifstream in{file, std::ios::binary};
         if (!in) {
-          throw certquic::config_error("certquic_analyze: cannot read " +
-                                       file);
+          throw certquic::config_error("cannot read " + file);
         }
         std::string content{std::istreambuf_iterator<char>(in),
                             std::istreambuf_iterator<char>()};
@@ -116,8 +115,8 @@ int main(int argc, char** argv) {
       }
     }
 
-    const certquic::lint::report rep = certquic::lint::apply_waivers(
-        std::move(result.findings), waivers, certquic::lint::all_rules());
+    const certquic::lint::report rep =
+        certquic::lint::apply_waivers(std::move(result.findings), waivers);
 
     if (!out_dir.empty()) {
       std::filesystem::create_directories(out_dir);

@@ -5,6 +5,7 @@
 #include <fstream>
 #include <map>
 #include <regex>
+#include <set>
 #include <sstream>
 
 #include "analyze_core.hpp"
@@ -298,7 +299,7 @@ void lint_scanned(const std::string& relative_path,
 std::string read_file(const std::string& path) {
   std::ifstream in{path, std::ios::binary};
   if (!in) {
-    throw config_error("certquic_lint: cannot read " + path);
+    throw config_error("cannot read " + path);
   }
   std::ostringstream out;
   out << in.rdbuf();
@@ -321,36 +322,19 @@ std::string unit_key(const std::string& relative_path) {
 
 }  // namespace
 
-const std::set<std::string>& lint_rules() {
-  static const std::set<std::string> rules = {
-      "nondet-source", "unordered-iter", "float-accum",
-      "raw-rng",       "atomic-plain",
-  };
-  return rules;
-}
-
-const std::set<std::string>& all_rules() {
-  static const std::set<std::string> rules = [] {
-    std::set<std::string> r = lint_rules();
-    r.insert("layer-upward");
-    r.insert("layer-cycle");
-    r.insert("layer-drift");
-    r.insert("pragma-once");
-    r.insert("self-contained");
-    r.insert("unused-include");
-    return r;
-  }();
-  return rules;
-}
-
 bool known_rule(const std::string& rule) {
-  return all_rules().count(rule) != 0;
+  static const std::set<std::string> rules = {
+      "nondet-source", "unordered-iter", "float-accum",  "raw-rng",
+      "atomic-plain",  "layer-upward",   "layer-cycle",  "layer-drift",
+      "pragma-once",   "self-contained", "unused-include",
+  };
+  return rules.count(rule) != 0;
 }
 
 std::vector<waiver> load_waivers(const std::string& path) {
   std::ifstream in{path};
   if (!in) {
-    throw config_error("certquic_lint: cannot read waiver file " + path);
+    throw config_error("cannot read waiver file " + path);
   }
   std::vector<waiver> out;
   std::string line;
@@ -369,19 +353,16 @@ std::vector<waiver> load_waivers(const std::string& path) {
       }
     }
     if (fields.size() != 4) {
-      throw config_error("certquic_lint: waiver line " +
-                         std::to_string(line_no) +
+      throw config_error("waiver line " + std::to_string(line_no) +
                          " needs rule|path|substring|reason: " + line);
     }
     waiver w{fields[0], fields[1], fields[2], fields[3], line_no};
     if (!known_rule(w.rule)) {
-      throw config_error("certquic_lint: waiver line " +
-                         std::to_string(line_no) + " names unknown rule '" +
-                         w.rule + "'");
+      throw config_error("waiver line " + std::to_string(line_no) +
+                         " names unknown rule '" + w.rule + "'");
     }
     if (w.substring.empty() || w.reason.empty()) {
-      throw config_error("certquic_lint: waiver line " +
-                         std::to_string(line_no) +
+      throw config_error("waiver line " + std::to_string(line_no) +
                          " needs a non-empty substring and reason");
     }
     out.push_back(std::move(w));
@@ -452,19 +433,13 @@ std::vector<finding> lint_sources(
 }
 
 report apply_waivers(std::vector<finding> findings,
-                     const std::vector<waiver>& waivers,
-                     const std::set<std::string>& rules_in_scope) {
+                     const std::vector<waiver>& waivers) {
   report rep;
   std::vector<bool> used(waivers.size(), false);
-  std::vector<bool> in_scope(waivers.size(), false);
-  for (std::size_t w = 0; w < waivers.size(); ++w) {
-    in_scope[w] = rules_in_scope.count(waivers[w].rule) != 0;
-  }
   for (finding& f : findings) {
     bool waived = false;
     for (std::size_t w = 0; w < waivers.size(); ++w) {
-      if (in_scope[w] && waivers[w].rule == f.rule &&
-          waivers[w].path == f.path &&
+      if (waivers[w].rule == f.rule && waivers[w].path == f.path &&
           (waivers[w].substring == "*" ||
            f.source_line.find(waivers[w].substring) != std::string::npos)) {
         used[w] = true;
@@ -477,7 +452,7 @@ report apply_waivers(std::vector<finding> findings,
     }
   }
   for (std::size_t w = 0; w < waivers.size(); ++w) {
-    if (in_scope[w] && !used[w]) {
+    if (!used[w]) {
       rep.unused_waivers.push_back(waivers[w]);
     }
   }
@@ -492,7 +467,7 @@ report lint_files(const std::vector<std::string>& files,
   for (const std::string& file : files) {
     sources.emplace_back(relativize(file, root), read_file(file));
   }
-  return apply_waivers(lint_sources(sources), waivers, lint_rules());
+  return apply_waivers(lint_sources(sources), waivers);
 }
 
 std::vector<std::string> collect_sources(const std::string& root) {

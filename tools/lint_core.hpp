@@ -1,4 +1,5 @@
-// certquic_lint — the repo's determinism lint.
+// The repo's determinism lint: five rules that certquic_analyze runs
+// over src/ alongside its layering and hygiene passes.
 //
 // The engine's headline guarantee (parallel runs bit-identical to
 // serial, spill replays byte-identical) rests on source-level
@@ -48,16 +49,14 @@
 // longer matches at all. Findings still carry the RAW source line —
 // that is what waiver substrings and humans read.
 //
-// The waiver machinery is shared with the architecture analyzer
-// (certquic_analyze): its rule ids (layer-upward, layer-cycle,
-// layer-drift, pragma-once, self-contained, unused-include) are valid
-// in the waiver file too, and `apply_waivers` takes the set of rules
-// in scope for the current run so a lint-only run neither consumes
-// nor staleness-flags an analyzer waiver.
+// The waiver machinery is shared with the rest of the architecture
+// analyzer (certquic_analyze): its rule ids (layer-upward,
+// layer-cycle, layer-drift, pragma-once, self-contained,
+// unused-include) are valid in the waiver file too, and every waiver
+// is always in scope.
 #pragma once
 
 #include <cstddef>
-#include <set>
 #include <string>
 #include <utility>
 #include <vector>
@@ -124,21 +123,14 @@ struct report {
 [[nodiscard]] std::vector<finding> lint_nondet_only(
     const std::string& relative_path, const std::string& content);
 
-/// Applies waivers to findings (first matching waiver wins). A waiver
-/// participates only when its rule is in `rules_in_scope`: out-of-
-/// scope waivers are neither applied nor reported stale, so the
-/// lint-only gate (five lint rules in scope) coexists with the full
-/// analyze gate (all rules in scope, which performs the complete
-/// stale-waiver check).
+/// Applies waivers to findings (first matching waiver wins). Every
+/// waiver must match at least one finding or it is reported unused.
 [[nodiscard]] report apply_waivers(std::vector<finding> findings,
-                                   const std::vector<waiver>& waivers,
-                                   const std::set<std::string>& rules_in_scope);
+                                   const std::vector<waiver>& waivers);
 
-/// Lints files on disk. Paths must live under `root`; findings carry
-/// root-relative paths. Waivers are applied with the five lint rules
-/// in scope (first matching waiver wins; every in-scope waiver must
-/// match at least one finding or it is reported unused). Throws
-/// config_error on unreadable files.
+/// Lints files on disk (the fixture entry point of lint_test). Paths
+/// must live under `root`; findings carry root-relative paths and go
+/// through apply_waivers. Throws config_error on unreadable files.
 [[nodiscard]] report lint_files(const std::vector<std::string>& files,
                                 const std::string& root,
                                 const std::vector<waiver>& waivers);
@@ -147,16 +139,9 @@ struct report {
 [[nodiscard]] std::vector<std::string> collect_sources(
     const std::string& root);
 
-/// The five determinism-lint rule ids (the scope of a lint-only run).
-[[nodiscard]] const std::set<std::string>& lint_rules();
-
-/// Every rule id the toolchain implements: the five lint rules plus
-/// the analyzer's layer-upward / layer-cycle / layer-drift /
-/// pragma-once / self-contained / unused-include (the scope of a full
-/// certquic_analyze run, and what the waiver file may name).
-[[nodiscard]] const std::set<std::string>& all_rules();
-
-/// True for rule ids the toolchain implements (waiver validation).
+/// True for rule ids the toolchain implements (waiver validation):
+/// the five lint rules plus the analyzer's layer-upward / layer-cycle
+/// / layer-drift / pragma-once / self-contained / unused-include.
 [[nodiscard]] bool known_rule(const std::string& rule);
 
 }  // namespace certquic::lint

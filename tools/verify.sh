@@ -2,23 +2,32 @@
 # Tier-1 verification gate — the exact command sequence from ROADMAP.md.
 # Exits nonzero on any configure, build or test failure.
 #
-# Usage: tools/verify.sh [--docs] [--outofcore] [--threads N] [--sanitize]
-#                        [--bench] [--analyze] [--tidy] [extra ctest args...]
-#   tools/verify.sh                 # full tier-1 + tier-2 run + determinism
-#                                   # lint + architecture analyzer + out-of-
-#                                   # core and epochs (kill-resume) smokes +
-#                                   # docs check
-#   tools/verify.sh -L tier1        # tier-1 only (+ lint/smokes/docs)
-#   tools/verify.sh --docs          # docs/golden-coverage check only (no build)
-#   tools/verify.sh --outofcore     # build + out-of-core smoke only: a small
+# Usage: tools/verify.sh [--docs] [--outofcore] [--analyze] [--threads N]
+#                        [--sanitize] [--tidy] [extra ctest args...]
+#   tools/verify.sh                 # full run: tier-1 + tier-2 ctest,
+#                                   # out-of-core and epochs (kill-resume)
+#                                   # smokes, architecture analyzer, docs
+#                                   # check
+#   tools/verify.sh -L tier1        # the full run with ctest limited to
+#                                   # tier-1
+#   tools/verify.sh --docs          # docs/golden-coverage check (no build)
+#   tools/verify.sh --outofcore     # build + out-of-core smoke: a small
 #                                   # sharded spill-merge census diffed
 #                                   # byte-for-byte against the in-memory
 #                                   # census output
+#   tools/verify.sh --analyze       # build + architecture analyzer, the
+#                                   # one static gate: include-graph
+#                                   # layering against tools/layers.txt,
+#                                   # IWYU-lite header hygiene, the five
+#                                   # determinism lint rules and the
+#                                   # tools/ nondet self-scan; emits
+#                                   # build/depgraph.{json,dot}
 #   tools/verify.sh --threads 8     # engine-determinism gate: runs tier-1
 #                                   # twice (CERTQUIC_THREADS=1 and =N),
 #                                   # diffs the golden bench outputs between
 #                                   # the serial and parallel engine runs,
-#                                   # then runs the docs check
+#                                   # then runs the out-of-core and epochs
+#                                   # smokes and the analyzer
 #   tools/verify.sh --sanitize      # sanitizer gate: tier-1 under
 #                                   # ASan+UBSan (build-asan/), then the
 #                                   # threaded suites under TSan
@@ -26,28 +35,19 @@
 #                                   # CERTQUIC_ASSERT enabled; zero
 #                                   # suppressions outside
 #                                   # tools/lint_waivers.txt.
-#   tools/verify.sh --bench         # throughput gate: build, run the
-#                                   # bench/throughput_* suite (census,
-#                                   # corpus, spill, epochs) on the smoke
-#                                   # population, assemble
-#                                   # build/BENCH_throughput.json and
-#                                   # sanity-check its keys.
-#   tools/verify.sh --analyze       # build + architecture analyzer only:
-#                                   # include-graph layering against
-#                                   # tools/layers.txt, IWYU-lite header
-#                                   # hygiene, the token-level lint rules
-#                                   # and the tools/ nondet self-scan;
-#                                   # emits build/depgraph.{json,dot}.
-#                                   # Runs in the default gate too.
 #   tools/verify.sh --tidy          # opt-in: additionally run clang-tidy
 #                                   # (the checked-in .clang-tidy) over
 #                                   # src/ via run-clang-tidy and the
 #                                   # exported compile_commands.json;
 #                                   # skipped with a notice when
 #                                   # run-clang-tidy is not installed.
-# Flags combine in any order; the docs and out-of-core checks run in
-# every build mode. All builds configure with -DCERTQUIC_WERROR=ON —
-# the tree is warning-clean and stays that way.
+#                                   # Alone, it adds to the full run.
+# Flags combine in any order and every named stage runs; with no stage
+# flag the full run runs. The docs check runs last in every mode.
+# Other arguments go to ctest, so they need a stage that runs ctest (the
+# full run, --threads or --sanitize); any other combination exits 2 and
+# names what it refuses. All builds configure with -DCERTQUIC_WERROR=ON
+# — the tree is warning-clean and stays that way.
 set -eu
 
 repo_root=$(CDPATH= cd -- "$(dirname -- "$0")/.." && pwd)
@@ -157,30 +157,19 @@ epochs_check() {
   return "$ep_status"
 }
 
-# Determinism lint over the module-registered sources, against the
-# checked-in waiver file. The `lint` target depends on (and builds)
-# the certquic_lint binary. Expects cwd = repo root.
-lint_check() {
-  if cmake --build build --target lint; then
-    echo "OK   lint: src/ clean against tools/lint_waivers.txt"
-  else
-    echo "FAIL lint: determinism lint found unwaived findings"
-    return 1
-  fi
-}
-
-# Architecture analyzer over the module-registered sources: layering
-# against tools/layers.txt, IWYU-lite header hygiene (pragma-once /
-# self-contained / unused-include), the token-level lint rules and the
-# tools/ nondet-source self-scan — one run, every rule in waiver
-# scope, depgraph.{json,dot} written into build/. The `analyze` target
-# depends on (and builds) the certquic_analyze binary. Expects cwd =
-# repo root.
+# Architecture analyzer over the module-registered sources — the one
+# static gate: layering against tools/layers.txt, IWYU-lite header
+# hygiene (pragma-once / self-contained / unused-include), the five
+# token-level lint rules and the tools/ nondet-source self-scan — one
+# run against every waiver, depgraph.{json,dot} written into build/.
+# The `analyze` target depends on (and builds) the certquic_analyze
+# binary. Expects cwd = repo root.
 analyze_check() {
   if cmake --build build --target analyze; then
-    echo "OK   analyze: layering + hygiene clean; build/depgraph.json written"
+    echo "OK   analyze: lint + layering + hygiene clean;" \
+         "build/depgraph.json written"
   else
-    echo "FAIL analyze: architecture analyzer found unwaived findings"
+    echo "FAIL analyze: unwaived findings or stale waivers"
     return 1
   fi
 }
@@ -209,98 +198,128 @@ tidy_check() {
   fi
 }
 
-# Throughput gate: each bench/throughput_* binary runs on the smoke
-# population and writes one single-line JSON object; the objects are
-# assembled into build/BENCH_throughput.json and the required keys are
-# checked. Expects cwd = build/.
-bench_check() {
-  tp_dir=$(mktemp -d)
-  tp_status=0
-  tp_env="CERTQUIC_DOMAINS=2000 CERTQUIC_SEED=42 CERTQUIC_SAMPLE=200 \
-CERTQUIC_PQ_PROFILE=classical"
-  printf '{"bench": "throughput", "paths": [\n' > "$tp_dir/assembled.json"
-  tp_sep=""
-  for tp_path in census corpus spill epochs; do
-    if ! env $tp_env CERTQUIC_BENCH_JSON="$tp_dir/$tp_path.json" \
-         "./bench/throughput_$tp_path" > "$tp_dir/$tp_path.txt" 2>&1; then
-      echo "FAIL bench: throughput_$tp_path exited nonzero"
-      cat "$tp_dir/$tp_path.txt"
-      tp_status=1
-      continue
-    fi
-    for key in '"path": "'"$tp_path"'"' '"probes_per_sec"' \
-               '"records_per_sec"' '"wall_seconds"' '"threads"'; do
-      if ! grep -q "$key" "$tp_dir/$tp_path.json"; then
-        echo "FAIL bench: throughput_$tp_path JSON missing key $key"
-        tp_status=1
-      fi
-    done
-    printf '%s  ' "$tp_sep" >> "$tp_dir/assembled.json"
-    cat "$tp_dir/$tp_path.json" >> "$tp_dir/assembled.json"
-    tp_sep=","
+# The engine-determinism gate: tier-1 must pass with the serial engine
+# and with N worker threads, and the golden bench binaries — plus
+# fig09, whose spoofed-amplification pass runs on the engine's
+# shared-world backscatter backend — must print byte-identical output
+# under both settings. Extra arguments go to ctest. Expects cwd =
+# build/.
+threads_check() {
+  th_status=0
+  for t in 1 "$engine_threads"; do
+    echo "== tier-1 with CERTQUIC_THREADS=$t =="
+    CERTQUIC_THREADS=$t ctest --output-on-failure -j "$jobs" -L tier1 "$@" \
+      || th_status=1
   done
-  printf ']}\n' >> "$tp_dir/assembled.json"
-  if [ "$tp_status" -eq 0 ]; then
-    cp "$tp_dir/assembled.json" BENCH_throughput.json
-    echo "OK   bench: BENCH_throughput.json written (census/corpus/spill/epochs)"
-  fi
-  rm -rf "$tp_dir"
-  return "$tp_status"
+  # Same knobs as CERTQUIC_SMOKE_KNOBS in the root CMakeLists (the
+  # values the checked-in goldens are captured with).
+  smoke_env="CERTQUIC_DOMAINS=2000 CERTQUIC_SEED=42 CERTQUIC_SAMPLE=200 \
+CERTQUIC_PQ_PROFILE=classical"
+  th_dir=$(mktemp -d)
+  for bin in fig02_cert_field_sizes fig04_amplification_cdf \
+             fig06_chain_size_cdf tab01_browser_profiles \
+             tab02_crypto_algorithms fig09_spoofed_amplification \
+             fig_pqc_chain_impact fig_outofcore_rss \
+             fig_ttfb_cdf fig_ttfb_pqc fig_epoch_deltas; do
+    if env $smoke_env CERTQUIC_THREADS=1 "./bench/$bin" \
+         > "$th_dir/$bin.serial.txt" &&
+       env $smoke_env CERTQUIC_THREADS="$engine_threads" "./bench/$bin" \
+         > "$th_dir/$bin.parallel.txt" &&
+       cmp -s "$th_dir/$bin.serial.txt" "$th_dir/$bin.parallel.txt"; then
+      echo "OK   $bin: serial == $engine_threads-thread output"
+    else
+      echo "FAIL $bin: failed or output differs between 1 and" \
+           "$engine_threads threads"
+      diff -u "$th_dir/$bin.serial.txt" "$th_dir/$bin.parallel.txt" || true
+      th_status=1
+    fi
+  done
+  rm -rf "$th_dir"
+  return "$th_status"
 }
 
-# Flags may appear in any order; everything unrecognized is passed on
-# to ctest.
-docs_only=0
-outofcore_only=0
+# Every argument is either a stage flag or passed on to ctest, in any
+# order: the loop re-appends the ctest arguments to "$@".
+docs=0
+outofcore=0
+analyze=0
 sanitize=0
-bench=0
-analyze_only=0
 tidy=0
 engine_threads=""
-while [ $# -gt 0 ]; do
-  case $1 in
-    --docs)
-      docs_only=1
-      shift
-      ;;
-    --outofcore)
-      outofcore_only=1
-      shift
-      ;;
-    --sanitize)
-      sanitize=1
-      shift
-      ;;
-    --bench)
-      bench=1
-      shift
-      ;;
-    --analyze)
-      analyze_only=1
-      shift
-      ;;
-    --tidy)
-      tidy=1
-      shift
-      ;;
-    --threads)
-      engine_threads=${2:?--threads needs a value}
-      shift 2
-      ;;
-    *)
-      break
-      ;;
+want_threads=0
+for arg do
+  shift
+  if [ "$want_threads" -eq 1 ]; then
+    engine_threads=${arg:-empty}
+    want_threads=0
+    continue
+  fi
+  case $arg in
+    --docs) docs=1 ;;
+    --outofcore) outofcore=1 ;;
+    --analyze) analyze=1 ;;
+    --sanitize) sanitize=1 ;;
+    --tidy) tidy=1 ;;
+    --threads) want_threads=1 ;;
+    *) set -- "$@" "$arg" ;;
   esac
 done
+if [ "$want_threads" -eq 1 ]; then
+  echo "verify.sh: --threads needs a value" >&2
+  exit 2
+fi
+case $engine_threads in
+  *[!0-9]*|0*)
+    echo "verify.sh: --threads needs a positive integer, got" \
+         "'$engine_threads'" >&2
+    exit 2
+    ;;
+esac
 
-if [ "$docs_only" -eq 1 ] && [ "$outofcore_only" -eq 0 ] &&
-   [ "$sanitize" -eq 0 ] && [ "$bench" -eq 0 ] &&
+full=0
+if [ "$docs$outofcore$analyze$sanitize" = "0000" ] &&
    [ -z "$engine_threads" ]; then
-  docs_check
-  exit $?
+  full=1
+fi
+if [ $# -gt 0 ] && [ "$full" -eq 0 ] && [ "$sanitize" -eq 0 ] &&
+   [ -z "$engine_threads" ]; then
+  echo "verify.sh: refusing ctest arguments '$*': the named stages run" \
+       "no ctest (pass them with no stage flag, --threads or" \
+       "--sanitize)" >&2
+  exit 2
 fi
 
 jobs=$(nproc 2>/dev/null || echo 4)
+status=0
+
+if [ "$full$outofcore$analyze$tidy" != "0000" ] ||
+   [ -n "$engine_threads" ]; then
+  cmake -B build -S . -DCERTQUIC_WERROR=ON
+  cmake --build build -j "$jobs"
+fi
+
+if [ "$full" -eq 1 ]; then
+  # ROADMAP's bare `-j` greedily eats any following argument, so pass
+  # the job count explicitly to keep extra ctest args (e.g. -L tier1)
+  # working.
+  (cd build && ctest --output-on-failure -j "$jobs" "$@") || status=1
+fi
+if [ -n "$engine_threads" ]; then
+  (cd build && threads_check "$@") || status=1
+fi
+if [ "$full" -eq 1 ] || [ "$outofcore" -eq 1 ] ||
+   [ -n "$engine_threads" ]; then
+  (cd build && outofcore_check) || status=1
+fi
+if [ "$full" -eq 1 ] || [ -n "$engine_threads" ]; then
+  (cd build && epochs_check) || status=1
+fi
+if [ "$full" -eq 1 ] || [ "$analyze" -eq 1 ] || [ -n "$engine_threads" ]; then
+  analyze_check || status=1
+fi
+if [ "$tidy" -eq 1 ]; then
+  tidy_check || status=1
+fi
 
 if [ "$sanitize" -eq 1 ]; then
   # Sanitizer gate. Two builds (the ASan and TSan runtimes cannot link
@@ -309,128 +328,30 @@ if [ "$sanitize" -eq 1 ]; then
   # (CERTQUIC_SANITIZE implies it), UBSan findings are hard failures
   # (-fno-sanitize-recover), and there are no suppression files — the
   # only sanctioned waiver mechanism in this repo is
-  # tools/lint_waivers.txt, which governs the lint, not the sanitizers.
+  # tools/lint_waivers.txt, which governs the analyzer, not the
+  # sanitizers.
   echo "== ASan+UBSan: tier-1 =="
   cmake -B build-asan -S . -DCERTQUIC_WERROR=ON \
         -DCERTQUIC_SANITIZE="address;undefined"
   cmake --build build-asan -j "$jobs"
-  (cd build-asan && ctest --output-on-failure -j "$jobs" -L tier1 "$@")
+  san_status=0
+  (cd build-asan && ctest --output-on-failure -j "$jobs" -L tier1 "$@") ||
+    san_status=1
 
   echo "== TSan: threaded suites =="
   cmake -B build-tsan -S . -DCERTQUIC_WERROR=ON -DCERTQUIC_SANITIZE=thread
   cmake --build build-tsan -j "$jobs"
   (cd build-tsan && ctest --output-on-failure -j "$jobs" "$@" -R \
-    '^(engine_test|backend_test|executor_test|outofcore_test|service_test|ttfb_test|stats_test|net_test)$')
+    '^(engine_test|backend_test|executor_test|outofcore_test|service_test|ttfb_test|stats_test|net_test)$') ||
+    san_status=1
 
-  echo "OK   sanitize: ASan+UBSan tier-1 and TSan threaded suites clean"
-  exit 0
-fi
-
-cmake -B build -S . -DCERTQUIC_WERROR=ON
-cmake --build build -j "$jobs"
-cd build
-
-if [ "$analyze_only" -eq 1 ] && [ "$outofcore_only" -eq 0 ] &&
-   [ "$bench" -eq 0 ] && [ -z "$engine_threads" ]; then
-  cd "$repo_root"
-  status=0
-  analyze_check || status=1
-  if [ "$tidy" -eq 1 ]; then
-    tidy_check || status=1
-  fi
-  docs_check || status=1
-  exit "$status"
-fi
-
-if [ "$outofcore_only" -eq 1 ] && [ -z "$engine_threads" ]; then
-  status=0
-  outofcore_check || status=1
-  cd "$repo_root"
-  docs_check || status=1
-  exit "$status"
-fi
-
-if [ "$bench" -eq 1 ] && [ -z "$engine_threads" ]; then
-  status=0
-  bench_check || status=1
-  cd "$repo_root"
-  docs_check || status=1
-  exit "$status"
-fi
-
-if [ -z "$engine_threads" ]; then
-  # ROADMAP's bare `-j` greedily eats any following argument, so pass the
-  # job count explicitly to keep extra ctest args (e.g. -L tier1) working.
-  ctest --output-on-failure -j "$jobs" "$@"
-  outofcore_check
-  epochs_check
-  cd "$repo_root"
-  status=0
-  lint_check || status=1
-  analyze_check || status=1
-  if [ "$tidy" -eq 1 ]; then
-    tidy_check || status=1
-  fi
-  docs_check || status=1
-  exit "$status"
-fi
-
-# --threads N: the engine-determinism gate. Tier-1 must pass with the
-# serial engine and with N worker threads, and the golden bench
-# binaries — plus fig09, whose spoofed-amplification pass runs on the
-# engine's shared-world backscatter backend — must print byte-identical
-# output under both settings.
-for t in 1 "$engine_threads"; do
-  echo "== tier-1 with CERTQUIC_THREADS=$t =="
-  CERTQUIC_THREADS=$t ctest --output-on-failure -j "$jobs" -L tier1 "$@"
-done
-
-# Same knobs as CERTQUIC_SMOKE_KNOBS in the root CMakeLists (the values
-# the checked-in goldens are captured with).
-smoke_env="CERTQUIC_DOMAINS=2000 CERTQUIC_SEED=42 CERTQUIC_SAMPLE=200 \
-CERTQUIC_PQ_PROFILE=classical"
-out_dir=$(mktemp -d)
-trap 'rm -rf "$out_dir"' EXIT
-status=0
-for bin in fig02_cert_field_sizes fig04_amplification_cdf \
-           fig06_chain_size_cdf tab01_browser_profiles \
-           tab02_crypto_algorithms fig09_spoofed_amplification \
-           fig_pqc_chain_impact fig_outofcore_rss \
-           fig_ttfb_cdf fig_ttfb_pqc fig_epoch_deltas; do
-  # fig_ttfb_pqc / fig_epoch_deltas additionally drop machine-readable
-  # perf records (BENCH_ttfb.json / BENCH_epochs.json) next to the
-  # build tree.
-  bench_json=""
-  if [ "$bin" = "fig_ttfb_pqc" ]; then
-    bench_json="CERTQUIC_BENCH_JSON=$PWD/BENCH_ttfb.json"
-  fi
-  if [ "$bin" = "fig_epoch_deltas" ]; then
-    bench_json="CERTQUIC_BENCH_JSON=$PWD/BENCH_epochs.json"
-  fi
-  env $smoke_env $bench_json CERTQUIC_THREADS=1 "./bench/$bin" \
-    > "$out_dir/$bin.serial.txt"
-  env $smoke_env $bench_json CERTQUIC_THREADS="$engine_threads" "./bench/$bin" \
-    > "$out_dir/$bin.parallel.txt"
-  if cmp -s "$out_dir/$bin.serial.txt" "$out_dir/$bin.parallel.txt"; then
-    echo "OK   $bin: serial == $engine_threads-thread output"
+  if [ "$san_status" -eq 0 ]; then
+    echo "OK   sanitize: ASan+UBSan tier-1 and TSan threaded suites clean"
   else
-    echo "FAIL $bin: output differs between 1 and $engine_threads threads"
-    diff -u "$out_dir/$bin.serial.txt" "$out_dir/$bin.parallel.txt" || true
+    echo "FAIL sanitize: a sanitized suite failed"
     status=1
   fi
-done
-outofcore_check || status=1
-epochs_check || status=1
-if [ "$bench" -eq 1 ]; then
-  bench_check || status=1
 fi
-cd "$repo_root"
-lint_check || status=1
-if [ "$analyze_only" -eq 1 ]; then
-  analyze_check || status=1
-fi
-if [ "$tidy" -eq 1 ]; then
-  tidy_check || status=1
-fi
+
 docs_check || status=1
 exit "$status"
