@@ -58,6 +58,18 @@ inline void footnote_scale(const internet::config& cfg) {
               cfg.domains, static_cast<unsigned long long>(cfg.seed));
 }
 
+/// Label of a popularity-rank group: the half-open interval
+/// "[first, end)". Built with += (GCC 12 -O3 reports a false -Wrestrict
+/// on chained std::string operator+).
+inline std::string rank_group(std::size_t first, std::size_t end) {
+  std::string label = "[";
+  label += std::to_string(first);
+  label += ", ";
+  label += std::to_string(end);
+  label += ')';
+  return label;
+}
+
 /// Prints an empirical CDF as aligned rows of (x, F(x)).
 inline void print_cdf(const char* label, const stats::sample_set& samples,
                       std::size_t points = 11, int x_digits = 0) {

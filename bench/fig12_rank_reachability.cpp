@@ -31,8 +31,8 @@ int main() {
     const double q = static_cast<double>(quic[g]) / n;
     const double h = static_cast<double>(https_only[g]) / n;
     quic_share.add(q * 100.0);
-    table.add_row({"[" + std::to_string(g * group_span + 1) + ", " +
-                       std::to_string((g + 1) * group_span + 1) + ")",
+    table.add_row({bench::rank_group(g * group_span + 1,
+                                     (g + 1) * group_span + 1),
                    pct(q), pct(h), pct(1.0 - q - h)});
   }
   std::printf("%s", table.render().c_str());

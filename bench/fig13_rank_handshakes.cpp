@@ -32,8 +32,8 @@ int main() {
                           row[static_cast<std::size_t>(c)]) /
                           static_cast<double>(n);
     };
-    table.add_row({"[" + std::to_string(g * group_span + 1) + ", " +
-                       std::to_string((g + 1) * group_span + 1) + ")",
+    table.add_row({bench::rank_group(g * group_span + 1,
+                                     (g + 1) * group_span + 1),
                    pct(share(scan::handshake_class::amplification)),
                    pct(share(scan::handshake_class::multi_rtt)),
                    pct(share(scan::handshake_class::retry)),

@@ -1,6 +1,6 @@
 // google-benchmark micro-benchmarks for the library's hot paths:
-// DER encoding, LZ compression, QUIC packet (de)coding and full
-// simulated handshakes.
+// DER encoding, LZ compression, QUIC packet (de)coding, the simulator's
+// event loop and full simulated handshakes.
 #include <benchmark/benchmark.h>
 
 #include "ca/ecosystem.hpp"
@@ -10,6 +10,7 @@
 #include "quic/server.hpp"
 #include "quic/varint.hpp"
 #include "tls/handshake.hpp"
+#include "x509/certificate.hpp"
 
 namespace {
 
@@ -125,6 +126,91 @@ void BM_DatagramParse(benchmark::State& state) {
                           static_cast<std::int64_t>(wire.size()));
 }
 BENCHMARK(BM_DatagramParse);
+
+// A client Initial as the census sends it: one ClientHello-sized CRYPTO
+// frame padded to 1362 B, so most of the datagram is PADDING.
+void BM_PaddedClientInitialParse(benchmark::State& state) {
+  rng r{10};
+  tls::client_hello_config ch;
+  ch.server_name = "census.example";
+  quic::packet p;
+  p.type = quic::packet_type::initial;
+  p.dcid.resize(8);
+  r.fill(p.dcid);
+  p.frames.push_back(
+      quic::crypto_frame{0, tls::encode_client_hello(ch, r)});
+  std::vector<quic::packet> dgram{p};
+  (void)quic::pad_datagram_to(dgram, 1362);
+  const bytes wire = quic::encode_datagram(dgram);
+  for (auto _ : state) {
+    const auto parsed = quic::parse_datagram(wire);
+    benchmark::DoNotOptimize(parsed.size());
+  }
+  state.SetBytesProcessed(state.iterations() *
+                          static_cast<std::int64_t>(wire.size()));
+}
+BENCHMARK(BM_PaddedClientInitialParse);
+
+// DER encoding of one leaf certificate from a fixed spec: no chain
+// issuance, no ecosystem lookups.
+void BM_LeafCertificateEncode(benchmark::State& state) {
+  rng setup{11};
+  x509::certificate_spec spec;
+  spec.issuer = x509::distinguished_name::org("US", "Let's Encrypt", "R3");
+  spec.subject = x509::distinguished_name::cn("leaf.example");
+  bytes issuer_key_id(20);
+  setup.fill(issuer_key_id);
+  spec.extensions = {
+      x509::make_basic_constraints(false),
+      x509::make_key_usage(0x80),
+      x509::make_ext_key_usage(true),
+      x509::make_subject_key_id(setup),
+      x509::make_authority_key_id(issuer_key_id),
+      x509::make_subject_alt_name({"leaf.example", "www.leaf.example"}),
+      x509::make_certificate_policies(false, "http://cps.example/cps"),
+      x509::make_authority_info_access("http://ocsp.example",
+                                       "http://ca.example/ca.crt"),
+      x509::make_sct_list(2, setup),
+  };
+  for (auto _ : state) {
+    rng r{12};
+    const x509::certificate leaf{spec, r};
+    benchmark::DoNotOptimize(leaf.size());
+  }
+}
+BENCHMARK(BM_LeafCertificateEncode);
+
+// 1 000 datagrams of 1200 B through one simulator, 16 in flight at a
+// time: every delivery sends the next datagram, as a flight's ACK clock
+// does. The event loop's per-datagram cost, with a working set small
+// enough that the allocator never returns memory to the OS mid-run.
+void BM_SimulatorDeliver(benchmark::State& state) {
+  constexpr std::size_t kDatagrams = 1000;
+  constexpr std::size_t kInFlight = 16;
+  const net::endpoint_id src{net::ipv4::of(10, 0, 0, 1), 40000};
+  const net::endpoint_id dst{net::ipv4::of(192, 0, 2, 1), 443};
+  const bytes payload(1200, std::uint8_t{0xab});
+  for (auto _ : state) {
+    net::simulator sim;
+    std::size_t sent = 0;
+    std::size_t received = 0;
+    sim.attach(dst, [&](const net::datagram& d) {
+      received += d.payload.size();
+      if (sent < kDatagrams) {
+        ++sent;
+        sim.send({src, dst, payload});
+      }
+    });
+    for (; sent < kInFlight; ++sent) {
+      sim.send({src, dst, payload});
+    }
+    sim.run();
+    benchmark::DoNotOptimize(received);
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(kDatagrams));
+}
+BENCHMARK(BM_SimulatorDeliver);
 
 }  // namespace
 

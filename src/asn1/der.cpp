@@ -1,19 +1,54 @@
 #include "asn1/der.hpp"
 
+#include <array>
+
 #include "util/errors.hpp"
 
 namespace certquic::asn1 {
 namespace {
 
-bytes concat(std::initializer_list<bytes_view> elements) {
-  bytes out;
-  std::size_t total = 0;
-  for (const auto& e : elements) {
-    total += e.size();
+/// A definite-length TLV header on the stack: the tag, then the short
+/// form or 0x80|n followed by n minimal length octets (n <= 8).
+struct header {
+  std::array<std::uint8_t, 10> octets{};
+  std::size_t size = 0;
+
+  header(std::uint8_t tag_byte, std::size_t length) {
+    octets[size++] = tag_byte;
+    if (length < 0x80) {
+      octets[size++] = static_cast<std::uint8_t>(length);
+      return;
+    }
+    // Long form: minimal number of length octets (DER requirement).
+    std::size_t n = 0;
+    for (std::size_t v = length; v > 0; v >>= 8) {
+      ++n;
+    }
+    octets[size++] = static_cast<std::uint8_t>(0x80 | n);
+    for (std::size_t i = n; i > 0; --i) {
+      octets[size++] = static_cast<std::uint8_t>(length >> (8 * (i - 1)));
+    }
   }
-  out.reserve(total);
-  for (const auto& e : elements) {
-    append(out, e);
+
+  [[nodiscard]] bytes_view view() const noexcept {
+    return bytes_view{octets.data(), size};
+  }
+};
+
+/// One TLV whose content is the concatenation of `parts`, written into
+/// a single vector reserved to the exact encoded size.
+template <typename Parts>
+bytes tlv_of(std::uint8_t tag_byte, const Parts& parts) {
+  std::size_t length = 0;
+  for (const auto& part : parts) {
+    length += part.size();
+  }
+  const header h{tag_byte, length};
+  bytes out;
+  out.reserve(h.size + length);
+  append(out, h.view());
+  for (const auto& part : parts) {
+    append(out, part);
   }
   return out;
 }
@@ -26,28 +61,12 @@ bytes encode_string(tag t, std::string_view s) {
 }  // namespace
 
 bytes encode_header(std::uint8_t tag_byte, std::size_t length) {
-  bytes out;
-  out.push_back(tag_byte);
-  if (length < 0x80) {
-    out.push_back(static_cast<std::uint8_t>(length));
-    return out;
-  }
-  // Long form: minimal number of length octets (DER requirement).
-  bytes len_octets;
-  std::size_t v = length;
-  while (v > 0) {
-    len_octets.push_back(static_cast<std::uint8_t>(v & 0xff));
-    v >>= 8;
-  }
-  out.push_back(static_cast<std::uint8_t>(0x80 | len_octets.size()));
-  out.insert(out.end(), len_octets.rbegin(), len_octets.rend());
-  return out;
+  const header h{tag_byte, length};
+  return bytes(h.octets.begin(), h.octets.begin() + h.size);
 }
 
 bytes wrap(std::uint8_t tag_byte, bytes_view content) {
-  bytes out = encode_header(tag_byte, content.size());
-  append(out, content);
-  return out;
+  return tlv_of(tag_byte, std::array<bytes_view, 1>{content});
 }
 
 bytes wrap(tag t, bytes_view content) {
@@ -55,19 +74,15 @@ bytes wrap(tag t, bytes_view content) {
 }
 
 bytes sequence(std::initializer_list<bytes_view> elements) {
-  return wrap(tag::sequence, concat(elements));
+  return tlv_of(static_cast<std::uint8_t>(tag::sequence), elements);
 }
 
 bytes sequence(const std::vector<bytes>& elements) {
-  bytes content;
-  for (const auto& e : elements) {
-    append(content, e);
-  }
-  return wrap(tag::sequence, content);
+  return tlv_of(static_cast<std::uint8_t>(tag::sequence), elements);
 }
 
 bytes set(std::initializer_list<bytes_view> elements) {
-  return wrap(tag::set, concat(elements));
+  return tlv_of(static_cast<std::uint8_t>(tag::set), elements);
 }
 
 bytes context(unsigned n, bytes_view content, bool constructed) {
@@ -94,21 +109,20 @@ bytes encode_integer(std::int64_t v) {
 }
 
 bytes encode_big_integer(bytes_view magnitude) {
+  static constexpr std::uint8_t kZero = 0;
+  if (magnitude.empty()) {
+    return wrap(tag::integer, bytes_view{&kZero, 1});
+  }
   std::size_t start = 0;
   while (start + 1 < magnitude.size() && magnitude[start] == 0) {
     ++start;
   }
-  bytes content;
-  if (magnitude.empty()) {
-    content.push_back(0);
-  } else {
-    if (magnitude[start] & 0x80) {
-      content.push_back(0);  // keep the value positive
-    }
-    content.insert(content.end(), magnitude.begin() + static_cast<long>(start),
-                   magnitude.end());
-  }
-  return wrap(tag::integer, content);
+  const bytes_view digits = magnitude.subspan(start);
+  // A leading 0x00 keeps a value with the top bit set positive.
+  const std::size_t sign_pad = (digits[0] & 0x80) != 0 ? 1 : 0;
+  return tlv_of(static_cast<std::uint8_t>(tag::integer),
+                std::array<bytes_view, 2>{bytes_view{&kZero, sign_pad},
+                                          digits});
 }
 
 bytes encode_oid(const oid& arcs) {
@@ -142,11 +156,8 @@ bytes encode_bit_string(bytes_view data, std::uint8_t unused_bits) {
   if (unused_bits > 7) {
     throw codec_error("bit string unused_bits > 7");
   }
-  bytes content;
-  content.reserve(data.size() + 1);
-  content.push_back(unused_bits);
-  append(content, data);
-  return wrap(tag::bit_string, content);
+  return tlv_of(static_cast<std::uint8_t>(tag::bit_string),
+                std::array<bytes_view, 2>{bytes_view{&unused_bits, 1}, data});
 }
 
 bytes encode_octet_string(bytes_view data) {

@@ -34,7 +34,16 @@ const path_config& simulator::path_to(const endpoint_id& dst) const {
 }
 
 void simulator::push(time_point at, std::function<void()> fn) {
-  queue_.push(event{at, next_seq_++, std::move(fn)});
+  queue_.push_back(event{at, next_seq_++, std::move(fn)});
+  std::push_heap(queue_.begin(), queue_.end(), event_later{});
+}
+
+std::function<void()> simulator::pop_next() {
+  std::pop_heap(queue_.begin(), queue_.end(), event_later{});
+  event next = std::move(queue_.back());
+  queue_.pop_back();
+  now_ = next.at;
+  return std::move(next.fn);
 }
 
 void simulator::send(datagram d) {
@@ -84,11 +93,7 @@ void simulator::schedule(duration delay, timer_fn fn) {
 std::size_t simulator::run(std::size_t max_events) {
   std::size_t processed = 0;
   while (!queue_.empty() && processed < max_events) {
-    // Copy out, then pop before invoking: the handler may push events.
-    auto fn = queue_.top().fn;
-    now_ = queue_.top().at;
-    queue_.pop();
-    fn();
+    pop_next()();
     ++processed;
   }
   return processed;
@@ -97,18 +102,15 @@ std::size_t simulator::run(std::size_t max_events) {
 std::size_t simulator::run_until(time_point deadline, std::size_t max_events) {
   std::size_t processed = 0;
   while (!queue_.empty() && processed < max_events &&
-         queue_.top().at <= deadline) {
-    auto fn = queue_.top().fn;
-    now_ = queue_.top().at;
-    queue_.pop();
-    fn();
+         queue_.front().at <= deadline) {
+    pop_next()();
     ++processed;
   }
   // Clamp forward only when everything up to the deadline has fired.
   // An exit on max_events leaves events at <= deadline queued; jumping
   // now_ past them would make a later run fire them with at < now_ —
   // virtual time running backwards.
-  if (now_ < deadline && (queue_.empty() || queue_.top().at > deadline)) {
+  if (now_ < deadline && (queue_.empty() || queue_.front().at > deadline)) {
     now_ = deadline;
   }
   return processed;

@@ -17,7 +17,6 @@
 #include <cstdint>
 #include <functional>
 #include <map>
-#include <queue>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -149,10 +148,17 @@ class simulator {
   };
 
   void push(time_point at, std::function<void()> fn);
+  /// Moves the earliest event out of the queue, advances `now_` to it
+  /// and returns its callback (popped before it runs: it may push).
+  std::function<void()> pop_next();
 
   time_point now_ = 0;
   std::uint64_t next_seq_ = 0;
-  std::priority_queue<event, std::vector<event>, event_later> queue_;
+  /// Binary heap under event_later: front() is the earliest (at, seq).
+  /// A plain vector rather than std::priority_queue so pop_next can
+  /// move the callback (and the datagram it owns) out instead of
+  /// copying it from a const top().
+  std::vector<event> queue_;
   std::unordered_map<endpoint_id, handler> endpoints_;
   std::unordered_map<endpoint_id, path_config> paths_;
   path_config default_path_{};

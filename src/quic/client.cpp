@@ -79,7 +79,7 @@ void client::send_initial(const bytes& token) {
 
   std::vector<packet> dgram{std::move(init)};
   (void)pad_datagram_to(dgram, config_.initial_size);
-  const bytes wire = encode_datagram(dgram);
+  bytes wire = encode_datagram(dgram);
 
   const net::endpoint_id src = config_.spoof_source.value_or(local_);
   ++obs_.client_datagrams;
@@ -87,7 +87,7 @@ void client::send_initial(const bytes& token) {
   if (obs_.bytes_sent_first_flight == 0) {
     obs_.bytes_sent_first_flight = wire.size();
   }
-  sim_.send({src, server_, wire});
+  sim_.send({src, server_, std::move(wire)});
 }
 
 void client::on_datagram(const net::datagram& d) {
@@ -295,10 +295,10 @@ void client::send_ack_flight() {
   // minimum... but ACK-only Initial packets are not ack-eliciting, so
   // no padding is required here (RFC 9000 §14.1 applies to
   // ack-eliciting Initials).
-  const bytes wire = encode_datagram(dgram);
+  bytes wire = encode_datagram(dgram);
   ++obs_.client_datagrams;
   obs_.bytes_sent_total += wire.size();
-  sim_.send({local_, server_, wire});
+  sim_.send({local_, server_, std::move(wire)});
 }
 
 }  // namespace certquic::quic

@@ -83,15 +83,9 @@ std::vector<frame> parse_frames(bytes_view payload) {
   while (!r.empty()) {
     const std::uint8_t type = r.peek_u8();
     switch (type) {
-      case kPadding: {
-        std::size_t count = 0;
-        while (!r.empty() && r.peek_u8() == kPadding) {
-          (void)r.u8();
-          ++count;
-        }
-        out.push_back(padding_frame{count});
+      case kPadding:
+        out.push_back(padding_frame{r.skip_zeros()});
         break;
-      }
       case kPing:
         (void)r.u8();
         out.push_back(ping_frame{});

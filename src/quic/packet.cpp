@@ -18,6 +18,49 @@ std::uint8_t first_byte(const packet& p) {
       (kPacketNumberSize - 1));
 }
 
+// Appends the encoding of `p` to `w`.
+void write_packet(buffer_writer& w, const packet& p) {
+  w.u8(first_byte(p));
+  if (p.type == packet_type::one_rtt) {
+    w.u8(static_cast<std::uint8_t>(p.dcid.size()));
+    w.raw(p.dcid);
+    w.u16(static_cast<std::uint16_t>(p.packet_number));
+    for (const auto& f : p.frames) {
+      write_frame(w, f);
+    }
+    w.zeros(kAeadTagSize);
+    return;
+  }
+  w.u32(p.version);
+  w.u8(static_cast<std::uint8_t>(p.dcid.size()));
+  w.raw(p.dcid);
+  w.u8(static_cast<std::uint8_t>(p.scid.size()));
+  w.raw(p.scid);
+  if (p.is_version_negotiation()) {
+    for (const std::uint32_t v : p.supported_versions) {
+      w.u32(v);
+    }
+    return;
+  }
+  if (p.type == packet_type::retry) {
+    w.raw(p.token);
+    w.zeros(kAeadTagSize);  // retry integrity tag
+    return;
+  }
+  if (p.type == packet_type::initial) {
+    write_varint(w, p.token.size());
+    w.raw(p.token);
+  }
+  const std::size_t protected_size =
+      kPacketNumberSize + p.payload_size() + kAeadTagSize;
+  write_varint(w, protected_size);
+  w.u16(static_cast<std::uint16_t>(p.packet_number));
+  for (const auto& f : p.frames) {
+    write_frame(w, f);
+  }
+  w.zeros(kAeadTagSize);  // AEAD tag placeholder
+}
+
 }  // namespace
 
 std::size_t packet::payload_size() const {
@@ -60,50 +103,6 @@ std::size_t packet::wire_size() const {
   const std::size_t protected_size =
       kPacketNumberSize + payload_size() + kAeadTagSize;
   return header + varint_size(protected_size) + protected_size;
-}
-
-bytes encode_packet(const packet& p) {
-  buffer_writer w;
-  w.u8(first_byte(p));
-  if (p.type == packet_type::one_rtt) {
-    w.u8(static_cast<std::uint8_t>(p.dcid.size()));
-    w.raw(p.dcid);
-    w.u16(static_cast<std::uint16_t>(p.packet_number));
-    for (const auto& f : p.frames) {
-      write_frame(w, f);
-    }
-    w.zeros(kAeadTagSize);
-    return std::move(w).take();
-  }
-  w.u32(p.version);
-  w.u8(static_cast<std::uint8_t>(p.dcid.size()));
-  w.raw(p.dcid);
-  w.u8(static_cast<std::uint8_t>(p.scid.size()));
-  w.raw(p.scid);
-  if (p.is_version_negotiation()) {
-    for (const std::uint32_t v : p.supported_versions) {
-      w.u32(v);
-    }
-    return std::move(w).take();
-  }
-  if (p.type == packet_type::retry) {
-    w.raw(p.token);
-    w.zeros(kAeadTagSize);  // retry integrity tag
-    return std::move(w).take();
-  }
-  if (p.type == packet_type::initial) {
-    write_varint(w, p.token.size());
-    w.raw(p.token);
-  }
-  const std::size_t protected_size =
-      kPacketNumberSize + p.payload_size() + kAeadTagSize;
-  write_varint(w, protected_size);
-  w.u16(static_cast<std::uint16_t>(p.packet_number));
-  for (const auto& f : p.frames) {
-    write_frame(w, f);
-  }
-  w.zeros(kAeadTagSize);  // AEAD tag placeholder
-  return std::move(w).take();
 }
 
 std::vector<packet> parse_datagram(bytes_view payload) {
@@ -252,11 +251,16 @@ std::size_t pad_datagram_to(std::vector<packet>& packets, std::size_t target) {
 }
 
 bytes encode_datagram(const std::vector<packet>& packets) {
-  bytes out;
+  std::size_t total = 0;
   for (const auto& p : packets) {
-    append(out, encode_packet(p));
+    total += p.wire_size();
   }
-  return out;
+  buffer_writer w;
+  w.reserve(total);
+  for (const auto& p : packets) {
+    write_packet(w, p);
+  }
+  return std::move(w).take();
 }
 
 datagram_accounting account_datagram(bytes_view payload) {

@@ -60,9 +60,6 @@ struct packet {
   [[nodiscard]] bool ack_eliciting() const;
 };
 
-/// Encodes one packet.
-[[nodiscard]] bytes encode_packet(const packet& p);
-
 /// Builds a Version Negotiation packet echoing the client's connection
 /// ids and listing the server's supported versions.
 [[nodiscard]] packet make_version_negotiation(
@@ -79,7 +76,8 @@ struct packet {
 /// target. Returns the number of padding bytes added.
 std::size_t pad_datagram_to(std::vector<packet>& packets, std::size_t target);
 
-/// Encodes a coalesced datagram (packets concatenated).
+/// Encodes a coalesced datagram (packets concatenated) into one buffer
+/// reserved to the summed `wire_size()`.
 [[nodiscard]] bytes encode_datagram(const std::vector<packet>& packets);
 
 /// Byte-accounting across a parsed datagram.

@@ -179,15 +179,13 @@ void server::on_datagram(const net::datagram& d) {
 
   for (const packet& p : packets) {
     if (p.type == packet_type::initial) {
-      handle_client_initial(c, p, d.payload.size());
+      handle_client_initial(c, p);
       break;
     }
   }
 }
 
-void server::handle_client_initial(connection& c, const packet& p,
-                                   std::size_t datagram_size) {
-  (void)datagram_size;
+void server::handle_client_initial(connection& c, const packet& p) {
   c.client_dcid = p.dcid;
   c.client_scid = p.scid;
   c.largest_seen_initial_pn = p.packet_number;
@@ -199,10 +197,10 @@ void server::handle_client_initial(connection& c, const packet& p,
     // paying one extra round trip.
     const packet vn = make_version_negotiation(
         p.scid, p.dcid, {behavior_.supported_version});
-    const bytes wire = encode_datagram({vn});
+    bytes wire = encode_datagram({vn});
     ++stats_.datagrams_sent;
     stats_.bytes_sent += wire.size();
-    sim_.send({address_, c.peer, wire});
+    sim_.send({address_, c.peer, std::move(wire)});
     conns_.erase(c.peer);
     return;
   }
@@ -215,11 +213,11 @@ void server::handle_client_initial(connection& c, const packet& p,
     retry.token = random_cid(rng_, 24);
     // A Retry consumes the connection attempt: the client will come
     // back with the token in a fresh Initial.
-    const bytes wire = encode_datagram({retry});
+    bytes wire = encode_datagram({retry});
     ++stats_.retries_sent;
     ++stats_.datagrams_sent;
     stats_.bytes_sent += wire.size();
-    sim_.send({address_, c.peer, wire});
+    sim_.send({address_, c.peer, std::move(wire)});
     conns_.erase(c.peer);
     return;
   }
@@ -229,8 +227,6 @@ void server::handle_client_initial(connection& c, const packet& p,
 
   // Negotiate certificate compression: use the first mutually supported
   // algorithm in server preference order.
-  const tls::client_hello_config* unused = nullptr;
-  (void)unused;
   std::unique_ptr<compress::codec> codec;
   bytes crypto_payload;
   for (const frame& f : p.frames) {
@@ -312,11 +308,11 @@ void server::transmit(connection& c, std::vector<packet> packets) {
   }
   c.handshake_packets_sent += handshake_packets;
   ++c.datagrams_sent;
-  const bytes wire = encode_datagram(packets);
+  bytes wire = encode_datagram(packets);
   ++stats_.datagrams_sent;
   stats_.bytes_sent += wire.size();
   if (behavior_.pacing_bps == 0) {
-    sim_.send({address_, c.peer, wire});
+    sim_.send({address_, c.peer, std::move(wire)});
     return;
   }
   // Pacing: space this connection's datagrams by their serialization
@@ -329,9 +325,10 @@ void server::transmit(connection& c, std::vector<packet> packets) {
   const net::time_point depart = std::max(sim_.now(), c.next_send_at);
   c.next_send_at = depart + serialize;
   const net::endpoint_id peer = c.peer;
-  sim_.schedule(depart - sim_.now(), [this, peer, wire]() {
-    sim_.send({address_, peer, wire});
-  });
+  sim_.schedule(depart - sim_.now(),
+                [this, peer, wire = std::move(wire)]() mutable {
+                  sim_.send({address_, peer, std::move(wire)});
+                });
 }
 
 void server::pump(connection& c, bool include_ack) {

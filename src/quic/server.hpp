@@ -85,8 +85,7 @@ class server {
   };
 
   void on_datagram(const net::datagram& d);
-  void handle_client_initial(connection& c, const packet& p,
-                             std::size_t datagram_size);
+  void handle_client_initial(connection& c, const packet& p);
   /// Sends as much pending flight data as the policy allows.
   void pump(connection& c, bool include_ack);
   /// Retransmits everything sent so far (unvalidated client timeout).

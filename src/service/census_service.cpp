@@ -32,7 +32,9 @@ bool reusable_shard(const engine::spill_probe_result& probe,
 }
 
 std::string signed_str(long long v) {
-  return (v >= 0 ? "+" : "") + std::to_string(v);
+  std::string out = v >= 0 ? "+" : "";
+  out += std::to_string(v);
+  return out;
 }
 
 std::string signed_fixed(double v, int digits) {

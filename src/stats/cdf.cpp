@@ -150,8 +150,10 @@ std::string sample_set::quantile_line() const {
     if (!out.empty()) {
       out += "  ";
     }
-    out += "p" + std::to_string(static_cast<int>(q * 100)) + "=" +
-           certquic::fixed(quantile(q), 1);
+    out += 'p';
+    out += std::to_string(static_cast<int>(q * 100));
+    out += '=';
+    out += certquic::fixed(quantile(q), 1);
   }
   return out;
 }

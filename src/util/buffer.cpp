@@ -69,24 +69,9 @@ void buffer_writer::patch_u24(std::size_t offset, std::uint32_t v) {
   buf_[offset + 2] = static_cast<std::uint8_t>(v);
 }
 
-void buffer_reader::require(std::size_t n) const {
-  if (remaining() < n) {
-    throw codec_error("buffer underrun: need " + std::to_string(n) +
-                      " bytes, have " + std::to_string(remaining()));
-  }
-}
-
-std::uint8_t buffer_reader::u8() {
-  require(1);
-  return data_[pos_++];
-}
-
-std::uint16_t buffer_reader::u16() {
-  require(2);
-  const auto v = static_cast<std::uint16_t>(
-      (static_cast<std::uint16_t>(data_[pos_]) << 8) | data_[pos_ + 1]);
-  pos_ += 2;
-  return v;
+void buffer_reader::underrun(std::size_t n) const {
+  throw codec_error("buffer underrun: need " + std::to_string(n) +
+                    " bytes, have " + std::to_string(remaining()));
 }
 
 std::uint32_t buffer_reader::u24() {
@@ -116,23 +101,6 @@ std::uint64_t buffer_reader::u64() {
   }
   pos_ += 8;
   return v;
-}
-
-bytes_view buffer_reader::raw(std::size_t n) {
-  require(n);
-  const bytes_view v = data_.subspan(pos_, n);
-  pos_ += n;
-  return v;
-}
-
-std::uint8_t buffer_reader::peek_u8() const {
-  require(1);
-  return data_[pos_];
-}
-
-void buffer_reader::skip(std::size_t n) {
-  require(n);
-  pos_ += n;
 }
 
 }  // namespace certquic

@@ -5,6 +5,7 @@
 // all encoders/decoders.
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <string>
@@ -50,6 +51,10 @@ class buffer_writer {
   /// Patches a previously reserved 24-bit slot. Throws if v >= 2^24.
   void patch_u24(std::size_t offset, std::uint32_t v);
 
+  /// Reserves capacity for `n` bytes in total, so a caller that knows
+  /// the final size writes without reallocating.
+  void reserve(std::size_t n) { buf_.reserve(n); }
+
   /// Number of bytes written so far.
   [[nodiscard]] std::size_t size() const noexcept { return buf_.size(); }
 
@@ -69,15 +74,26 @@ class buffer_writer {
 /// Reads big-endian integers and raw spans from a byte view.
 ///
 /// All reads are bounds-checked and throw `codec_error` on truncation;
-/// a reader never reads past the end of its view.
+/// a reader never reads past the end of its view. The per-byte
+/// accessors are inline so a parser's hot loop pays one compare per
+/// read; the throw lives out of line in one cold function.
 class buffer_reader {
  public:
   explicit buffer_reader(bytes_view data) noexcept : data_(data) {}
 
   /// Reads an 8-bit value.
-  [[nodiscard]] std::uint8_t u8();
+  [[nodiscard]] std::uint8_t u8() {
+    require(1);
+    return data_[pos_++];
+  }
   /// Reads a 16-bit big-endian value.
-  [[nodiscard]] std::uint16_t u16();
+  [[nodiscard]] std::uint16_t u16() {
+    require(2);
+    const auto v = static_cast<std::uint16_t>(
+        (static_cast<std::uint16_t>(data_[pos_]) << 8) | data_[pos_ + 1]);
+    pos_ += 2;
+    return v;
+  }
   /// Reads a 24-bit big-endian value.
   [[nodiscard]] std::uint32_t u24();
   /// Reads a 32-bit big-endian value.
@@ -85,12 +101,35 @@ class buffer_reader {
   /// Reads a 64-bit big-endian value.
   [[nodiscard]] std::uint64_t u64();
   /// Reads `n` raw bytes as a sub-view (no copy).
-  [[nodiscard]] bytes_view raw(std::size_t n);
+  [[nodiscard]] bytes_view raw(std::size_t n) {
+    require(n);
+    const bytes_view v = data_.subspan(pos_, n);
+    pos_ += n;
+    return v;
+  }
   /// Peeks at the next byte without consuming it.
-  [[nodiscard]] std::uint8_t peek_u8() const;
+  [[nodiscard]] std::uint8_t peek_u8() const {
+    require(1);
+    return data_[pos_];
+  }
 
   /// Skips `n` bytes. Throws codec_error if fewer remain.
-  void skip(std::size_t n);
+  void skip(std::size_t n) {
+    require(n);
+    pos_ += n;
+  }
+
+  /// Consumes the run of zero bytes at the read position in one scan
+  /// and returns its length (0 when the next byte is non-zero or the
+  /// view is exhausted). Stops at the end of the view.
+  std::size_t skip_zeros() noexcept {
+    const bytes_view rest = data_.subspan(pos_);
+    const auto end = std::find_if(rest.begin(), rest.end(),
+                                  [](std::uint8_t b) { return b != 0; });
+    const auto n = static_cast<std::size_t>(end - rest.begin());
+    pos_ += n;
+    return n;
+  }
 
   /// Bytes not yet consumed.
   [[nodiscard]] std::size_t remaining() const noexcept {
@@ -102,7 +141,13 @@ class buffer_reader {
   [[nodiscard]] std::size_t position() const noexcept { return pos_; }
 
  private:
-  void require(std::size_t n) const;
+  void require(std::size_t n) const {
+    if (remaining() < n) [[unlikely]] {
+      underrun(n);
+    }
+  }
+  /// Throws the codec_error for a read of `n` bytes past the end.
+  [[noreturn]] void underrun(std::size_t n) const;
 
   bytes_view data_;
   std::size_t pos_ = 0;

@@ -1,6 +1,9 @@
 // Unit and property tests for the DER encoder/decoder.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
 #include "asn1/der.hpp"
 #include "util/errors.hpp"
 #include "util/rng.hpp"
@@ -24,6 +27,81 @@ TEST(DerHeader, LongForm) {
   const bytes two = encode_header(0x30, 0x1234);
   const bytes expected_two = {0x30, 0x82, 0x12, 0x34};
   EXPECT_EQ(two, expected_two);
+}
+
+// Every length-form boundary of the definite-length header: short form
+// up to 0x7f, then 0x80|n with n = 1..4 minimal length octets.
+struct length_boundary {
+  std::size_t length;
+  std::vector<std::uint8_t> length_octets;
+};
+
+const std::vector<length_boundary>& length_boundaries() {
+  static const std::vector<length_boundary> cases = {
+      {0, {0x00}},
+      {0x7f, {0x7f}},
+      {0x80, {0x81, 0x80}},
+      {0xff, {0x81, 0xff}},
+      {0x100, {0x82, 0x01, 0x00}},
+      {0xffff, {0x82, 0xff, 0xff}},
+      {0x10000, {0x83, 0x01, 0x00, 0x00}},
+      {0xffffff, {0x83, 0xff, 0xff, 0xff}},
+      {0x1000000, {0x84, 0x01, 0x00, 0x00, 0x00}},
+  };
+  return cases;
+}
+
+// True when `tlv` is exactly tag_byte, then `length_octets`, then
+// `content`.
+::testing::AssertionResult is_tlv(
+    const bytes& tlv, std::uint8_t tag_byte,
+    const std::vector<std::uint8_t>& length_octets, bytes_view content) {
+  const std::size_t header = 1 + length_octets.size();
+  if (tlv.size() != header + content.size()) {
+    return ::testing::AssertionFailure()
+           << "size " << tlv.size() << ", want " << header + content.size();
+  }
+  if (tlv[0] != tag_byte ||
+      !std::equal(length_octets.begin(), length_octets.end(),
+                  tlv.begin() + 1)) {
+    return ::testing::AssertionFailure() << "header bytes differ";
+  }
+  if (!std::equal(content.begin(), content.end(),
+                  tlv.begin() + static_cast<std::ptrdiff_t>(header))) {
+    return ::testing::AssertionFailure() << "content bytes differ";
+  }
+  return ::testing::AssertionSuccess();
+}
+
+TEST(DerHeader, ExactBytesAtEveryLengthFormBoundary) {
+  bytes content;
+  for (const auto& [length, octets] : length_boundaries()) {
+    content.assign(length, 0x5a);
+    EXPECT_TRUE(is_tlv(encode_header(0x30, length), 0x30, octets, {}))
+        << "encode_header, length " << length;
+    EXPECT_TRUE(is_tlv(wrap(tag::octet_string, content), 0x04, octets,
+                       content))
+        << "wrap, length " << length;
+    EXPECT_TRUE(is_tlv(sequence({view(content)}), 0x30, octets, content))
+        << "sequence, length " << length;
+    EXPECT_TRUE(is_tlv(set({view(content)}), 0x31, octets, content))
+        << "set, length " << length;
+    EXPECT_TRUE(is_tlv(context(3, content), 0xa3, octets, content))
+        << "context, length " << length;
+    EXPECT_TRUE(is_tlv(context(3, content, /*constructed=*/false), 0x83,
+                       octets, content))
+        << "primitive context, length " << length;
+  }
+}
+
+TEST(DerSequence, VectorAndInitializerListAgree) {
+  const bytes a = encode_integer(-129);
+  const bytes b = encode_octet_string(bytes(200, 0x11));
+  const bytes c = encode_null();
+  EXPECT_EQ(sequence(std::vector<bytes>{a, b, c}),
+            sequence({view(a), view(b), view(c)}));
+  EXPECT_EQ(sequence(std::vector<bytes>{}), sequence({}));
+  EXPECT_EQ(sequence(std::vector<bytes>{b}), sequence({view(b)}));
 }
 
 TEST(DerInteger, KnownEncodings) {

@@ -114,12 +114,13 @@ TEST(LintFixtures, FileWaiverSuppressesAndIsMarkedUsed) {
 }
 
 TEST(LintFixtures, StaleWaiverIsReported) {
-  waiver stale;
-  stale.rule = "raw-rng";
-  stale.path = "core/mixed.cpp";  // file exists but has no raw-rng hit
-  stale.substring = "*";
-  stale.reason = "fixture: deliberately stale";
-  stale.file_line = 1;
+  const waiver stale{
+      .rule = "raw-rng",
+      .path = "core/mixed.cpp",  // file exists but has no raw-rng hit
+      .substring = "*",
+      .reason = "fixture: deliberately stale",
+      .file_line = 1,
+  };
   const auto files = collect_sources(kFixtureRoot);
   const report rep = lint_files(files, kFixtureRoot, {stale});
   ASSERT_EQ(rep.unused_waivers.size(), 1u);

@@ -1,9 +1,16 @@
 // Unit tests for the network simulator.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <functional>
+#include <utility>
+#include <vector>
+
 #include "net/address.hpp"
 #include "net/simulator.hpp"
+#include "util/buffer.hpp"
 #include "util/errors.hpp"
+#include "util/rng.hpp"
 
 namespace certquic::net {
 namespace {
@@ -275,6 +282,56 @@ TEST(Simulator, EqualTimestampDatagramsDeliverFifo) {
   }
   sim.run();
   EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3}));
+}
+
+TEST(Simulator, CollidingTimestampsPopInAtSeqOrder) {
+  // 10 000 seeded pushes with whole-millisecond delays of 0-3 ms, so
+  // thousands share a timestamp; 70% are made from inside handlers, and
+  // a quarter are datagram deliveries rather than timers. (at, seq) is
+  // a strict total order, so the events must fire sorted by (at, push
+  // order) whatever the queue's internal layout.
+  constexpr std::size_t kPushes = 10'000;
+  simulator sim;
+  rng r{0x0a75'e9ULL};
+  path_config path;
+  path.one_way_delay = milliseconds(2);
+  sim.set_path_to(kB, path);
+
+  std::vector<std::pair<time_point, std::size_t>> pushed;
+  std::vector<std::pair<time_point, std::size_t>> fired;
+  std::function<void()> push_one;
+  auto on_fire = [&](std::size_t id) {
+    fired.emplace_back(sim.now(), id);
+    if (pushed.size() < kPushes) {
+      push_one();
+    }
+  };
+  push_one = [&]() {
+    const std::size_t id = pushed.size();
+    if (r.chance(0.25)) {
+      pushed.emplace_back(sim.now() + path.one_way_delay, id);
+      buffer_writer w;
+      w.u64(id);
+      sim.send({kA, kB, std::move(w).take()});
+    } else {
+      const duration delay = milliseconds(r.uniform(0, 3));
+      pushed.emplace_back(sim.now() + delay, id);
+      sim.schedule(delay, [&on_fire, id]() { on_fire(id); });
+    }
+  };
+  sim.attach(kB, [&](const datagram& d) {
+    buffer_reader rd{d.payload};
+    on_fire(static_cast<std::size_t>(rd.u64()));
+  });
+  while (pushed.size() < 3 * kPushes / 10) {
+    push_one();
+  }
+  sim.run();
+
+  ASSERT_EQ(pushed.size(), kPushes);
+  ASSERT_EQ(fired.size(), kPushes);
+  std::sort(pushed.begin(), pushed.end());
+  EXPECT_EQ(fired, pushed);
 }
 
 TEST(NetworkCondition, DefaultMatchesHistoricalPath) {

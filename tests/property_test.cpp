@@ -1,6 +1,6 @@
-// Seeded round-trip property tests for the three wire codecs that every
-// other layer builds on: QUIC varints, DER TLVs and the LZ engine behind
-// RFC 8879 certificate compression. All randomness flows through the
+// Seeded round-trip property tests for the wire codecs that every other
+// layer builds on: QUIC varints and frames, DER TLVs and the LZ engine
+// behind RFC 8879 certificate compression. All randomness flows through the
 // project rng with fixed seeds (tests/support/property.hpp), so a failure
 // reproduces bit-for-bit from its iteration index.
 #include <gtest/gtest.h>
@@ -13,6 +13,7 @@
 #include "ca/ecosystem.hpp"
 #include "compress/lz.hpp"
 #include "property.hpp"
+#include "quic/frames.hpp"
 #include "quic/varint.hpp"
 #include "util/buffer.hpp"
 #include "util/errors.hpp"
@@ -67,6 +68,92 @@ TEST(VarintProperty, ConcatenatedStreamRoundTrips) {
         EXPECT_TRUE(rd.empty());
       },
       64);
+}
+
+// --- quic::frames -----------------------------------------------------
+
+// A random handshake-frame sequence. PADDING runs are frequent, may sit
+// back to back (the parser must merge them) and may start or end the
+// payload.
+std::vector<quic::frame> gen_frames(rng& r) {
+  std::vector<quic::frame> frames;
+  const auto n = r.uniform(0, 12);
+  for (std::uint64_t k = 0; k < n; ++k) {
+    switch (r.uniform(0, 6)) {
+      case 0:
+      case 1:
+        frames.push_back(quic::padding_frame{
+            static_cast<std::size_t>(r.uniform(1, 1400))});
+        break;
+      case 2:
+        frames.push_back(quic::ping_frame{});
+        break;
+      case 3:
+        frames.push_back(quic::ack_frame{test::gen_varint_value(r)});
+        break;
+      case 4:
+        frames.push_back(quic::crypto_frame{test::gen_varint_value(r),
+                                            test::gen_bytes(r, 0, 300)});
+        break;
+      case 5:
+        frames.push_back(quic::stream_frame{test::gen_varint_value(r),
+                                            test::gen_varint_value(r),
+                                            test::gen_bytes(r, 0, 100)});
+        break;
+      default:
+        frames.push_back(quic::connection_close_frame{
+            test::gen_varint_value(r), test::gen_printable(r, 0, 40)});
+        break;
+    }
+  }
+  return frames;
+}
+
+bytes encode_frame(const quic::frame& f) {
+  buffer_writer w;
+  quic::write_frame(w, f);
+  return std::move(w).take();
+}
+
+TEST(FramesProperty, ParseMatchesByteLoopReference) {
+  for_each_iteration([](rng& r, std::size_t i) {
+    const std::vector<quic::frame> generated = gen_frames(r);
+    buffer_writer w;
+    // The model: what the parser must return, adjacent PADDING merged.
+    std::vector<quic::frame> expected;
+    for (const auto& f : generated) {
+      quic::write_frame(w, f);
+      const auto* pad = std::get_if<quic::padding_frame>(&f);
+      if (pad != nullptr && !expected.empty()) {
+        if (auto* last = std::get_if<quic::padding_frame>(&expected.back())) {
+          last->count += pad->count;
+          continue;
+        }
+      }
+      expected.push_back(f);
+    }
+    const bytes payload = std::move(w).take();
+
+    const auto parsed = quic::parse_frames(payload);
+    ASSERT_EQ(parsed.size(), expected.size()) << "iteration " << i;
+    std::size_t offset = 0;
+    for (std::size_t k = 0; k < parsed.size(); ++k) {
+      ASSERT_EQ(parsed[k].index(), expected[k].index())
+          << "iteration " << i << " frame " << k;
+      EXPECT_EQ(encode_frame(parsed[k]), encode_frame(expected[k]))
+          << "iteration " << i << " frame " << k;
+      if (const auto* pad = std::get_if<quic::padding_frame>(&parsed[k])) {
+        // Reference count: one byte at a time from the frame's offset.
+        std::size_t run = 0;
+        while (offset + run < payload.size() && payload[offset + run] == 0) {
+          ++run;
+        }
+        EXPECT_EQ(pad->count, run) << "iteration " << i << " frame " << k;
+      }
+      offset += quic::frame_size(parsed[k]);
+    }
+    EXPECT_EQ(offset, payload.size()) << "iteration " << i;
+  });
 }
 
 // --- asn1::der --------------------------------------------------------

@@ -9,6 +9,7 @@
 #include "quic/packet.hpp"
 #include "quic/server.hpp"
 #include "quic/varint.hpp"
+#include "tls/handshake.hpp"
 #include "util/errors.hpp"
 
 namespace certquic::quic {
@@ -103,7 +104,7 @@ TEST(Packet, WireSizeMatchesEncoding) {
   r.fill(crypto_data);
   p.frames.push_back(crypto_frame{0, crypto_data});
   p.frames.push_back(padding_frame{100});
-  EXPECT_EQ(encode_packet(p).size(), p.wire_size());
+  EXPECT_EQ(encode_datagram({p}).size(), p.wire_size());
 }
 
 TEST(Packet, DatagramRoundTripWithCoalescing) {
@@ -623,6 +624,94 @@ TEST_P(ParserFuzz, BitFlippedDatagramsAreSafe) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, ParserFuzz,
                          ::testing::Values(1u, 2u, 3u, 4u, 5u, 6u));
+
+// The census probe's client Initial (a ClientHello padded to 1362 B)
+// followed by every datagram a server sends back to it, retransmissions
+// included, while the client stays silent.
+std::vector<bytes> probe_datagrams(const ca::ecosystem& eco,
+                                   server_behavior behavior) {
+  net::simulator sim;
+  rng r{31};
+  server srv{sim,
+             kServerEp,
+             eco.issue(eco.profile("le-r3-x1cross"), "mut.example", r),
+             std::move(behavior),
+             eco.compression_dictionary(),
+             3};
+  std::vector<bytes> out;
+  sim.attach(kClientEp,
+             [&out](const net::datagram& d) { out.push_back(d.payload); });
+  tls::client_hello_config ch;
+  ch.server_name = "mut.example";
+  packet init;
+  init.type = packet_type::initial;
+  init.dcid.resize(8);
+  r.fill(init.dcid);
+  init.frames.push_back(crypto_frame{0, tls::encode_client_hello(ch, r)});
+  std::vector<packet> dgram{std::move(init)};
+  (void)pad_datagram_to(dgram, 1362);
+  out.push_back(encode_datagram(dgram));
+  sim.send({kClientEp, kServerEp, out.front()});
+  (void)sim.run_until(net::seconds(2));
+  return out;
+}
+
+// True when `wire` parses or is rejected with codec_error; any other
+// exception is a decoder bug.
+bool parses_or_rejects(bytes_view wire) {
+  try {
+    for (const auto& p : parse_datagram(wire)) {
+      (void)p.wire_size();
+      (void)account(p.frames);
+    }
+  } catch (const codec_error&) {
+  } catch (...) {
+    return false;
+  }
+  return true;
+}
+
+// Mutation property over real probe traffic: every truncation, every
+// single-byte corruption and appended garbage either parses or throws
+// codec_error. tools/verify.sh --sanitize runs it under ASan+UBSan, so
+// an out-of-bounds read fails it too.
+TEST(ParserMutation, ProbeDatagramsParseOrThrowCodecError) {
+  const ca::ecosystem eco = ca::ecosystem::make();
+  std::vector<bytes> corpus;
+  for (server_behavior behavior :
+       {server_behavior::compliant(), server_behavior::cloudflare(),
+        server_behavior::retry_always()}) {
+    for (bytes& d : probe_datagrams(eco, std::move(behavior))) {
+      corpus.push_back(std::move(d));
+    }
+  }
+  ASSERT_GE(corpus.size(), 6u);
+  rng r{0x6d75'7461'7465ULL};
+  for (std::size_t n = 0; n < corpus.size(); ++n) {
+    const bytes& wire = corpus[n];
+    ASSERT_FALSE(parse_datagram(wire).empty()) << "datagram " << n;
+    for (std::size_t cut = 0; cut < wire.size(); ++cut) {
+      EXPECT_TRUE(parses_or_rejects(bytes_view{wire}.first(cut)))
+          << "datagram " << n << " cut at " << cut;
+    }
+    bytes flipped = wire;
+    for (std::size_t pos = 0; pos < wire.size(); ++pos) {
+      const auto mask = static_cast<std::uint8_t>(r.uniform(1, 255));
+      flipped[pos] ^= mask;
+      EXPECT_TRUE(parses_or_rejects(flipped))
+          << "datagram " << n << " byte " << pos << " ^ " << int{mask};
+      flipped[pos] ^= mask;
+    }
+    for (int round = 0; round < 16; ++round) {
+      bytes extended = wire;
+      bytes garbage(static_cast<std::size_t>(r.uniform(1, 64)));
+      r.fill(garbage);
+      append(extended, garbage);
+      EXPECT_TRUE(parses_or_rejects(extended))
+          << "datagram " << n << " garbage round " << round;
+    }
+  }
+}
 
 // Property: the historical draft policies order total attacker-visible
 // bytes as expected (Table 3 ablation).

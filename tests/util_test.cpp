@@ -89,6 +89,40 @@ TEST(BufferReader, PeekDoesNotConsume) {
   EXPECT_EQ(r.remaining(), 1u);
 }
 
+TEST(BufferReader, SkipZerosOnEmptyViewIsZero) {
+  buffer_reader r{bytes_view{}};
+  EXPECT_EQ(r.skip_zeros(), 0u);
+  EXPECT_TRUE(r.empty());
+}
+
+TEST(BufferReader, SkipZerosConsumesAnAllZeroView) {
+  const bytes data(1500, 0x00);
+  buffer_reader r{data};
+  EXPECT_EQ(r.skip_zeros(), 1500u);
+  EXPECT_TRUE(r.empty());
+  EXPECT_EQ(r.skip_zeros(), 0u);
+}
+
+TEST(BufferReader, SkipZerosStopsAtEndOfView) {
+  const bytes data = {0x05, 0x00, 0x00, 0x00};
+  buffer_reader r{bytes_view{data}.first(3)};
+  EXPECT_EQ(r.u8(), 0x05);
+  EXPECT_EQ(r.skip_zeros(), 2u);  // the fourth zero lies outside the view
+  EXPECT_TRUE(r.empty());
+  EXPECT_THROW((void)r.u8(), codec_error);
+}
+
+TEST(BufferReader, SkipZerosStopsAtNonZeroByte) {
+  const bytes data = {0x00, 0x00, 0x07, 0x00};
+  buffer_reader r{data};
+  EXPECT_EQ(r.skip_zeros(), 2u);
+  EXPECT_EQ(r.position(), 2u);
+  EXPECT_EQ(r.skip_zeros(), 0u);  // next byte is non-zero: nothing moves
+  EXPECT_EQ(r.u8(), 0x07);
+  EXPECT_EQ(r.skip_zeros(), 1u);
+  EXPECT_TRUE(r.empty());
+}
+
 TEST(Hex, RoundTrip) {
   const bytes data = {0x00, 0x01, 0xab, 0xff};
   EXPECT_EQ(to_hex(data), "0001abff");
