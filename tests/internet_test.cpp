@@ -3,6 +3,7 @@
 
 #include <set>
 
+#include "core/stream_digest.hpp"
 #include "internet/model.hpp"
 
 namespace certquic::internet {
@@ -312,6 +313,74 @@ TEST_F(ChurnTest, EpochSeedsAreDistinctPerEpoch) {
   }
   EXPECT_EQ(seeds.size(), 64u);
   EXPECT_NE(epoch_seed(42, 1), epoch_seed(43, 1));
+}
+
+// --- Chain bytes pin -------------------------------------------------------
+
+/// Folds one certificate's DER bytes, field sizes, SAN bytes and CA flag.
+void digest_certificate(std::uint64_t& h, const x509::certificate& c) {
+  core::digest_mix(h, c.der().size());
+  for (const std::uint8_t b : c.der()) {
+    h ^= b;
+    h *= 0x0000'0100'0000'01b3ULL;
+  }
+  const x509::field_sizes& s = c.sizes();
+  for (const std::size_t v : {s.subject, s.issuer, s.public_key_info,
+                              s.extensions, s.signature, s.total}) {
+    core::digest_mix(h, v);
+  }
+  core::digest_mix(h, c.san_bytes());
+  core::digest_mix(h, c.is_ca() ? 1 : 0);
+}
+
+void digest_chain(std::uint64_t& h, const x509::chain& chain) {
+  core::digest_mix(h, chain.depth());
+  chain.for_each(
+      [&h](const x509::certificate& c) { digest_certificate(h, c); });
+}
+
+// Every certificate byte the model materializes is pinned to a digest
+// taken before the DER writer existed: every TLS record of a fixed
+// population under all three chain profiles (named profiles, the long
+// tail and cruise liners; QUIC fetches of rotated records too), the Meta
+// PoP chains before and after disclosure, and every named parent and
+// its ML-DSA twin. An encoder change that moves one byte, one field
+// size, the SAN share or the CA flag fails here.
+TEST(ChainBytesPin, EveryMaterializedCertificateIsUnchanged) {
+  const model m = model::generate({.domains = 10'000, .seed = 42});
+  std::uint64_t h = core::kStreamDigestSeed;
+  std::size_t chains = 0;
+  for (const x509::pq_profile pq : x509::all_pq_profiles()) {
+    for (const service_record& rec : m.records()) {
+      if (!rec.serves_tls()) {
+        continue;
+      }
+      digest_chain(h, m.chain_of(rec, fetch_protocol::https, pq));
+      ++chains;
+      if (rec.serves_quic() && rec.rotated_cert) {
+        digest_chain(h, m.chain_of(rec, fetch_protocol::quic, pq));
+        ++chains;
+      }
+    }
+  }
+  for (const bool post_disclosure : {false, true}) {
+    for (const meta_host& host : m.meta_pop(post_disclosure)) {
+      digest_chain(h, m.meta_chain(host));
+      ++chains;
+    }
+  }
+  std::size_t parents = 0;
+  for (const ca::chain_profile& p : m.ecosystem().profiles()) {
+    for (const auto* set : {&p.parents, &p.parents_pqc}) {
+      for (const auto& parent : *set) {
+        digest_certificate(h, *parent);
+        ++parents;
+      }
+    }
+  }
+  EXPECT_EQ(chains, 24'495u);
+  EXPECT_EQ(parents, 58u);
+  EXPECT_EQ(h, 0x11fc'3674'60fd'06deULL);
 }
 
 }  // namespace
