@@ -3,6 +3,10 @@
 // event loop and full simulated handshakes.
 #include <benchmark/benchmark.h>
 
+#if defined(__GLIBC__)
+#include <malloc.h>
+#endif
+
 #include "ca/ecosystem.hpp"
 #include "compress/codec.hpp"
 #include "net/simulator.hpp"
@@ -50,8 +54,8 @@ void BM_LzCompressChain(benchmark::State& state) {
   rng r{3};
   const auto chain = eco.issue(eco.profile("le-r3-x1cross"), "z.example", r);
   const bytes payload = chain.concatenated_der();
-  const compress::codec codec{compress::algorithm::brotli,
-                              eco.compression_dictionary()};
+  const bytes dictionary = eco.compression_dictionary();
+  const compress::codec codec{compress::algorithm::brotli, dictionary};
   for (auto _ : state) {
     const bytes compressed = codec.compress(payload);
     benchmark::DoNotOptimize(compressed.size());
@@ -66,8 +70,8 @@ void BM_LzRoundTrip(benchmark::State& state) {
   rng r{4};
   const auto chain = eco.issue(eco.profile("cloudflare"), "rt.example", r);
   const bytes payload = chain.concatenated_der();
-  const compress::codec codec{compress::algorithm::zstd,
-                              eco.compression_dictionary()};
+  const bytes dictionary = eco.compression_dictionary();
+  const compress::codec codec{compress::algorithm::zstd, dictionary};
   for (auto _ : state) {
     const bytes compressed = codec.compress(payload);
     const bytes restored = codec.decompress(compressed);
@@ -96,7 +100,7 @@ void BM_FullHandshake(benchmark::State& state) {
   for (auto _ : state) {
     net::simulator sim;
     quic::server srv{sim, server_ep, chain,
-                     quic::server_behavior::cloudflare(), {}, 7};
+                     quic::server_behavior::cloudflare(), bytes_view{}, 7};
     quic::client cli{sim, client_ep, server_ep,
                      {.initial_size = 1362}, 8};
     cli.start();
@@ -214,4 +218,20 @@ BENCHMARK(BM_SimulatorDeliver);
 
 }  // namespace
 
-BENCHMARK_MAIN();
+int main(int argc, char** argv) {
+#if defined(__GLIBC__)
+  // glibc hands the top of the heap back to the OS whenever more than
+  // the trim threshold (128 KiB, then adjusted dynamically) is free, so
+  // without a fixed threshold one benchmark's frees decide whether the
+  // next one pays page faults. Pinned, each number is independent of
+  // which benchmarks ran before it.
+  mallopt(M_TRIM_THRESHOLD, 1 << 30);
+#endif
+  benchmark::Initialize(&argc, argv);
+  if (benchmark::ReportUnrecognizedArguments(argc, argv)) {
+    return 1;
+  }
+  benchmark::RunSpecifiedBenchmarks();
+  benchmark::Shutdown();
+  return 0;
+}

@@ -1,117 +1,111 @@
 #include "asn1/der.hpp"
 
-#include <array>
+#include <algorithm>
 
 #include "util/errors.hpp"
 
 namespace certquic::asn1 {
 namespace {
 
-/// A definite-length TLV header on the stack: the tag, then the short
-/// form or 0x80|n followed by n minimal length octets (n <= 8).
-struct header {
-  std::array<std::uint8_t, 10> octets{};
-  std::size_t size = 0;
-
-  header(std::uint8_t tag_byte, std::size_t length) {
-    octets[size++] = tag_byte;
-    if (length < 0x80) {
-      octets[size++] = static_cast<std::uint8_t>(length);
-      return;
-    }
-    // Long form: minimal number of length octets (DER requirement).
-    std::size_t n = 0;
-    for (std::size_t v = length; v > 0; v >>= 8) {
-      ++n;
-    }
-    octets[size++] = static_cast<std::uint8_t>(0x80 | n);
-    for (std::size_t i = n; i > 0; --i) {
-      octets[size++] = static_cast<std::uint8_t>(length >> (8 * (i - 1)));
-    }
+/// Octets of a long-form length value (DER: the minimal number).
+std::size_t length_octets(std::size_t length) noexcept {
+  std::size_t n = 0;
+  for (std::size_t v = length; v > 0; v >>= 8) {
+    ++n;
   }
-
-  [[nodiscard]] bytes_view view() const noexcept {
-    return bytes_view{octets.data(), size};
-  }
-};
-
-/// One TLV whose content is the concatenation of `parts`, written into
-/// a single vector reserved to the exact encoded size.
-template <typename Parts>
-bytes tlv_of(std::uint8_t tag_byte, const Parts& parts) {
-  std::size_t length = 0;
-  for (const auto& part : parts) {
-    length += part.size();
-  }
-  const header h{tag_byte, length};
-  bytes out;
-  out.reserve(h.size + length);
-  append(out, h.view());
-  for (const auto& part : parts) {
-    append(out, part);
-  }
-  return out;
+  return n;
 }
 
-bytes encode_string(tag t, std::string_view s) {
-  return wrap(t, bytes_view{reinterpret_cast<const std::uint8_t*>(s.data()),
-                            s.size()});
+/// Appends the definite-length header: the tag, then the short form or
+/// 0x80|n followed by n minimal length octets.
+void put_header(bytes& out, std::uint8_t tag_byte, std::size_t length) {
+  out.push_back(tag_byte);
+  if (length < 0x80) {
+    out.push_back(static_cast<std::uint8_t>(length));
+    return;
+  }
+  const std::size_t n = length_octets(length);
+  out.push_back(static_cast<std::uint8_t>(0x80 | n));
+  for (std::size_t i = n; i > 0; --i) {
+    out.push_back(static_cast<std::uint8_t>(length >> (8 * (i - 1))));
+  }
+}
+
+bytes_view as_bytes(std::string_view s) noexcept {
+  return {reinterpret_cast<const std::uint8_t*>(s.data()), s.size()};
 }
 
 }  // namespace
 
-bytes encode_header(std::uint8_t tag_byte, std::size_t length) {
-  const header h{tag_byte, length};
-  return bytes(h.octets.begin(), h.octets.begin() + h.size);
-}
-
-bytes wrap(std::uint8_t tag_byte, bytes_view content) {
-  return tlv_of(tag_byte, std::array<bytes_view, 1>{content});
-}
-
-bytes wrap(tag t, bytes_view content) {
-  return wrap(static_cast<std::uint8_t>(t), content);
-}
-
-bytes sequence(std::initializer_list<bytes_view> elements) {
-  return tlv_of(static_cast<std::uint8_t>(tag::sequence), elements);
-}
-
-bytes sequence(const std::vector<bytes>& elements) {
-  return tlv_of(static_cast<std::uint8_t>(tag::sequence), elements);
-}
-
-bytes set(std::initializer_list<bytes_view> elements) {
-  return tlv_of(static_cast<std::uint8_t>(tag::set), elements);
-}
-
-bytes context(unsigned n, bytes_view content, bool constructed) {
+std::uint8_t context_tag(unsigned n, bool constructed) {
   if (n > 30) {
     throw codec_error("context tag > 30 not supported");
   }
-  const auto tag_byte = static_cast<std::uint8_t>(
-      0x80 | (constructed ? 0x20 : 0x00) | n);
-  return wrap(tag_byte, content);
+  return static_cast<std::uint8_t>(0x80 | (constructed ? 0x20 : 0x00) | n);
 }
 
-bytes encode_integer(std::int64_t v) {
-  // Build the minimal two's-complement representation.
-  bytes content;
-  bool more = true;
-  while (more) {
-    const auto octet = static_cast<std::uint8_t>(v & 0xff);
-    v >>= 8;
-    content.insert(content.begin(), octet);
-    const bool sign_bit = (octet & 0x80) != 0;
-    more = !((v == 0 && !sign_bit) || (v == -1 && sign_bit));
+// --- writer ----------------------------------------------------------------
+
+void writer::tlv(std::uint8_t tag_byte, bytes_view content) {
+  put_header(out_, tag_byte, content.size());
+  append(out_, content);
+}
+
+void writer::tlv(std::uint8_t tag_byte, std::string_view content) {
+  tlv(tag_byte, as_bytes(content));
+}
+
+std::span<std::uint8_t> writer::primitive(std::uint8_t tag_byte,
+                                          std::size_t length) {
+  put_header(out_, tag_byte, length);
+  const std::size_t start = out_.size();
+  out_.resize(start + length);
+  return {out_.data() + start, length};
+}
+
+std::size_t writer::open(std::uint8_t tag_byte) {
+  out_.push_back(tag_byte);
+  out_.push_back(0);  // short-form length, patched by close()
+  return out_.size();
+}
+
+void writer::close(std::size_t start) {
+  const std::size_t length = out_.size() - start;
+  if (length < 0x80) {
+    out_[start - 1] = static_cast<std::uint8_t>(length);
+    return;
   }
-  return wrap(tag::integer, content);
+  const std::size_t n = length_octets(length);
+  out_.insert(out_.begin() + static_cast<std::ptrdiff_t>(start), n,
+              std::uint8_t{0});
+  out_[start - 1] = static_cast<std::uint8_t>(0x80 | n);
+  for (std::size_t i = 0; i < n; ++i) {
+    out_[start + i] = static_cast<std::uint8_t>(length >> (8 * (n - 1 - i)));
+  }
 }
 
-bytes encode_big_integer(bytes_view magnitude) {
-  static constexpr std::uint8_t kZero = 0;
+void writer::integer(std::int64_t v) {
+  // Minimal two's complement: drop leading octets that only repeat the
+  // sign of the next one.
+  std::size_t n = 8;
+  while (n > 1) {
+    const auto top = static_cast<std::uint8_t>(v >> (8 * (n - 1)));
+    const bool next_sign = ((v >> (8 * (n - 2))) & 0x80) != 0;
+    if (!((top == 0x00 && !next_sign) || (top == 0xff && next_sign))) {
+      break;
+    }
+    --n;
+  }
+  const std::span<std::uint8_t> content = primitive(tag::integer, n);
+  for (std::size_t i = 0; i < n; ++i) {
+    content[i] = static_cast<std::uint8_t>(v >> (8 * (n - 1 - i)));
+  }
+}
+
+void writer::big_integer(bytes_view magnitude) {
   if (magnitude.empty()) {
-    return wrap(tag::integer, bytes_view{&kZero, 1});
+    primitive(tag::integer, 1)[0] = 0x00;
+    return;
   }
   std::size_t start = 0;
   while (start + 1 < magnitude.size() && magnitude[start] == 0) {
@@ -120,74 +114,140 @@ bytes encode_big_integer(bytes_view magnitude) {
   const bytes_view digits = magnitude.subspan(start);
   // A leading 0x00 keeps a value with the top bit set positive.
   const std::size_t sign_pad = (digits[0] & 0x80) != 0 ? 1 : 0;
-  return tlv_of(static_cast<std::uint8_t>(tag::integer),
-                std::array<bytes_view, 2>{bytes_view{&kZero, sign_pad},
-                                          digits});
+  const std::span<std::uint8_t> content =
+      primitive(tag::integer, sign_pad + digits.size());
+  std::copy(digits.begin(), digits.end(), content.begin() + sign_pad);
+}
+
+void writer::bit_string(bytes_view data, std::uint8_t unused_bits) {
+  if (unused_bits > 7) {
+    throw codec_error("bit string unused_bits > 7");
+  }
+  const std::span<std::uint8_t> content =
+      primitive(tag::bit_string, 1 + data.size());
+  content[0] = unused_bits;
+  std::copy(data.begin(), data.end(), content.begin() + 1);
+}
+
+void writer::boolean(bool v) {
+  primitive(tag::boolean, 1)[0] = v ? 0xff : 0x00;
+}
+
+void writer::utc_time(std::string_view s) {
+  if (s.size() != 13 || s.back() != 'Z') {
+    throw codec_error("UTCTime must be YYMMDDHHMMSSZ");
+  }
+  tlv(tag::utc_time, s);
+}
+
+namespace detail {
+namespace {
+thread_local bytes scratch_buffer;
+}  // namespace
+
+bytes take_scratch() noexcept {
+  bytes out = std::exchange(scratch_buffer, bytes{});
+  out.clear();
+  return out;
+}
+
+void return_scratch(bytes&& scratch) noexcept {
+  // A nested encode() returns a smaller buffer first; keep the larger.
+  if (scratch.capacity() > scratch_buffer.capacity()) {
+    scratch_buffer = std::move(scratch);
+  }
+}
+
+}  // namespace detail
+
+// --- one-TLV wrappers ------------------------------------------------------
+
+bytes encode_header(std::uint8_t tag_byte, std::size_t length) {
+  bytes out;
+  put_header(out, tag_byte, length);
+  return out;
+}
+
+bytes wrap(std::uint8_t tag_byte, bytes_view content) {
+  return encode([&](writer& w) { w.tlv(tag_byte, content); });
+}
+
+bytes sequence(std::initializer_list<bytes_view> elements) {
+  return encode([&](writer& w) {
+    w.sequence([&] {
+      for (const bytes_view e : elements) {
+        w.raw(e);
+      }
+    });
+  });
+}
+
+bytes set(std::initializer_list<bytes_view> elements) {
+  return encode([&](writer& w) {
+    w.set([&] {
+      for (const bytes_view e : elements) {
+        w.raw(e);
+      }
+    });
+  });
+}
+
+bytes context(unsigned n, bytes_view content, bool constructed) {
+  const std::uint8_t tag_byte = context_tag(n, constructed);
+  return encode([&](writer& w) {
+    if (constructed) {
+      w.nested(tag_byte, [&] { w.raw(content); });
+    } else {
+      w.tlv(tag_byte, content);
+    }
+  });
+}
+
+bytes encode_integer(std::int64_t v) {
+  return encode([&](writer& w) { w.integer(v); });
+}
+
+bytes encode_big_integer(bytes_view magnitude) {
+  return encode([&](writer& w) { w.big_integer(magnitude); });
 }
 
 bytes encode_oid(const oid& arcs) {
-  if (arcs.size() < 2) {
-    throw codec_error("OID needs at least two arcs");
-  }
-  if (arcs[0] > 2 || (arcs[0] < 2 && arcs[1] >= 40)) {
-    throw codec_error("invalid OID root arcs");
-  }
   bytes content;
-  auto push_base128 = [&content](std::uint32_t v) {
-    std::uint8_t chunks[5];
-    int n = 0;
-    do {
-      chunks[n++] = static_cast<std::uint8_t>(v & 0x7f);
-      v >>= 7;
-    } while (v > 0);
-    for (int i = n - 1; i > 0; --i) {
-      content.push_back(static_cast<std::uint8_t>(chunks[i] | 0x80));
-    }
-    content.push_back(chunks[0]);
-  };
-  push_base128(arcs[0] * 40 + arcs[1]);
-  for (std::size_t i = 2; i < arcs.size(); ++i) {
-    push_base128(arcs[i]);
-  }
+  detail::for_each_oid_octet(arcs,
+                             [&](std::uint8_t b) { content.push_back(b); });
   return wrap(tag::object_identifier, content);
 }
 
 bytes encode_bit_string(bytes_view data, std::uint8_t unused_bits) {
-  if (unused_bits > 7) {
-    throw codec_error("bit string unused_bits > 7");
-  }
-  return tlv_of(static_cast<std::uint8_t>(tag::bit_string),
-                std::array<bytes_view, 2>{bytes_view{&unused_bits, 1}, data});
+  return encode([&](writer& w) { w.bit_string(data, unused_bits); });
 }
 
 bytes encode_octet_string(bytes_view data) {
-  return wrap(tag::octet_string, data);
+  return encode([&](writer& w) { w.octet_string(data); });
 }
 
 bytes encode_boolean(bool v) {
-  const std::uint8_t octet = v ? 0xff : 0x00;
-  return wrap(tag::boolean, bytes_view{&octet, 1});
+  return encode([&](writer& w) { w.boolean(v); });
 }
 
-bytes encode_null() { return wrap(tag::null_value, bytes_view{}); }
+bytes encode_null() {
+  return encode([](writer& w) { w.null(); });
+}
 
 bytes encode_printable_string(std::string_view s) {
-  return encode_string(tag::printable_string, s);
+  return encode([&](writer& w) { w.printable_string(s); });
 }
 
 bytes encode_utf8_string(std::string_view s) {
-  return encode_string(tag::utf8_string, s);
+  return encode([&](writer& w) { w.utf8_string(s); });
 }
 
 bytes encode_ia5_string(std::string_view s) {
-  return encode_string(tag::ia5_string, s);
+  return encode([&](writer& w) { w.ia5_string(s); });
 }
 
 bytes encode_utc_time(std::string_view s) {
-  if (s.size() != 13 || s.back() != 'Z') {
-    throw codec_error("UTCTime must be YYMMDDHHMMSSZ");
-  }
-  return encode_string(tag::utc_time, s);
+  return encode([&](writer& w) { w.utc_time(s); });
 }
 
 tlv read_tlv(buffer_reader& r) {

@@ -1,6 +1,7 @@
 #include "ca/ecosystem.hpp"
 
 #include <algorithm>
+#include <array>
 
 #include "util/errors.hpp"
 #include "x509/extensions.hpp"
@@ -30,11 +31,12 @@ std::shared_ptr<const certificate> make_ca_cert(
   spec.sig_alg = x509::signature_by(issuer_key);
   // CA certificates are long-lived.
   spec.valid = {"200904000000Z", "300904000000Z"};
+  spec.extensions.reserve(8);
   spec.extensions.push_back(x509::make_basic_constraints(true, 0));
   spec.extensions.push_back(x509::make_key_usage(0x86));  // sign+certSign+crl
   spec.extensions.push_back(x509::make_subject_key_id(r));
   if (style != ca_style::legacy_root) {
-    bytes issuer_key_id(20);
+    std::array<std::uint8_t, 20> issuer_key_id;
     r.fill(issuer_key_id);
     spec.extensions.push_back(x509::make_authority_key_id(issuer_key_id));
   }
@@ -48,6 +50,25 @@ std::shared_ptr<const certificate> make_ca_cert(
         "http://crl." + url_host + "/root.crl"));
   }
   return std::make_shared<const certificate>(std::move(spec), r);
+}
+
+/// The extensions every leaf opens with, in issuance (and rng draw)
+/// order: a random issuer key id, then basicConstraints through
+/// subjectAltName. Appended one by one, not copied out of a braced
+/// list; room is reserved for `more` extensions to follow.
+std::vector<x509::extension> leaf_extensions(
+    const std::vector<std::string>& sans, rng& r, std::size_t more) {
+  std::array<std::uint8_t, 20> issuer_key_id;
+  r.fill(issuer_key_id);
+  std::vector<x509::extension> exts;
+  exts.reserve(6 + more);
+  exts.push_back(x509::make_basic_constraints(false));
+  exts.push_back(x509::make_key_usage(0x80));
+  exts.push_back(x509::make_ext_key_usage(true));
+  exts.push_back(x509::make_subject_key_id(r));
+  exts.push_back(x509::make_authority_key_id(issuer_key_id));
+  exts.push_back(x509::make_subject_alt_name(sans));
+  return exts;
 }
 
 /// ML-DSA twin of a classical parent certificate: the same position in
@@ -464,28 +485,19 @@ x509::chain ecosystem::issue(const chain_profile& profile,
                           : r.ascii_label(3, 10) + "." + domain);
   }
 
-  bytes issuer_key_id(20);
-  r.fill(issuer_key_id);
-  spec.extensions = {
-      x509::make_basic_constraints(false),
-      x509::make_key_usage(0x80),
-      x509::make_ext_key_usage(true),
-      x509::make_subject_key_id(r),
-      x509::make_authority_key_id(issuer_key_id),
-      x509::make_subject_alt_name(sans),
-      x509::make_certificate_policies(
-          lp.organization_validated,
-          lp.lean_extensions ? "" : "http://" + lp.url_host + "/cps"),
-      x509::make_authority_info_access("http://ocsp." + lp.url_host,
-                                       "http://" + lp.url_host + "/ca.crt"),
-  };
+  auto& exts = spec.extensions = leaf_extensions(sans, r, 4);
+  exts.push_back(x509::make_certificate_policies(
+      lp.organization_validated,
+      lp.lean_extensions ? "" : "http://" + lp.url_host + "/cps"));
+  exts.push_back(x509::make_authority_info_access(
+      "http://ocsp." + lp.url_host, "http://" + lp.url_host + "/ca.crt"));
   if (!lp.lean_extensions) {
-    spec.extensions.push_back(x509::make_crl_distribution_points(
+    exts.push_back(x509::make_crl_distribution_points(
         "http://crl." + lp.url_host + "/ca.crl"));
   }
   const std::size_t scts =
       lp.sct_count > 1 && r.chance(0.5) ? lp.sct_count - 1 : lp.sct_count;
-  spec.extensions.push_back(x509::make_sct_list(scts, r));
+  exts.push_back(x509::make_sct_list(scts, r));
   certificate leaf{std::move(spec), r};
   return x509::chain{std::move(leaf), parents};
 }
@@ -609,20 +621,13 @@ x509::chain ecosystem::issue_other(const std::string& domain, rng& r,
   for (std::uint64_t i = 0; i < extra; ++i) {
     sans.push_back(r.ascii_label(3, 12) + "." + domain);
   }
-  bytes issuer_key_id(20);
-  r.fill(issuer_key_id);
-  spec.extensions = {
-      x509::make_basic_constraints(false),
-      x509::make_key_usage(0x80),
-      x509::make_ext_key_usage(true),
-      x509::make_subject_key_id(r),
-      x509::make_authority_key_id(issuer_key_id),
-      x509::make_subject_alt_name(sans),
-      x509::make_certificate_policies(false, "http://" + ca_host + "/cps"),
-      x509::make_authority_info_access("http://ocsp." + ca_host,
-                                       "http://" + ca_host + "/ca.crt"),
-      x509::make_sct_list(1 + r.uniform(0, 2), r),
-  };
+  auto& exts = spec.extensions = leaf_extensions(sans, r, 3);
+  exts.push_back(
+      x509::make_certificate_policies(false, "http://" + ca_host + "/cps"));
+  exts.push_back(x509::make_authority_info_access(
+      "http://ocsp." + ca_host, "http://" + ca_host + "/ca.crt"));
+  const std::size_t scts = 1 + r.uniform(0, 2);
+  exts.push_back(x509::make_sct_list(scts, r));
   certificate leaf{std::move(spec), r};
   return x509::chain{std::move(leaf), std::move(parents)};
 }
@@ -647,18 +652,10 @@ x509::chain ecosystem::issue_cruise_liner(const std::string& domain,
     sans.push_back(r.ascii_label(4, 14) + "." +
                    (r.chance(0.5) ? "com" : "net"));
   }
-  bytes issuer_key_id(20);
-  r.fill(issuer_key_id);
-  spec.extensions = {
-      x509::make_basic_constraints(false),
-      x509::make_key_usage(0x80),
-      x509::make_ext_key_usage(true),
-      x509::make_subject_key_id(r),
-      x509::make_authority_key_id(issuer_key_id),
-      x509::make_subject_alt_name(sans),
-      x509::make_certificate_policies(false, "http://comodoca.com/cps"),
-      x509::make_sct_list(3, r),
-  };
+  auto& exts = spec.extensions = leaf_extensions(sans, r, 2);
+  exts.push_back(
+      x509::make_certificate_policies(false, "http://comodoca.com/cps"));
+  exts.push_back(x509::make_sct_list(3, r));
   certificate leaf{std::move(spec), r};
   return x509::chain{std::move(leaf), parents};
 }

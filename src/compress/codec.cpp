@@ -16,8 +16,8 @@ std::string to_string(algorithm a) {
   throw config_error("unknown compression algorithm");
 }
 
-codec::codec(algorithm a, bytes dictionary)
-    : alg_(a), dictionary_(std::move(dictionary)) {
+codec::codec(algorithm a, bytes_view dictionary)
+    : alg_(a), dictionary_(dictionary) {
   switch (alg_) {
     case algorithm::brotli:
       // Large window, full shared dictionary, patient matcher.

@@ -32,14 +32,15 @@ enum class algorithm : std::uint16_t {
 /// fragments); `ca::ecosystem::compression_dictionary()` builds one.
 class codec {
  public:
-  /// Creates a codec; `dictionary` may be empty (pure self-referential
-  /// compression, as with plain zlib).
-  explicit codec(algorithm a, bytes dictionary = {});
+  /// Creates a codec over a borrowed `dictionary`, which must outlive
+  /// it; it may be empty (pure self-referential compression, as with
+  /// plain zlib).
+  explicit codec(algorithm a, bytes_view dictionary = {});
+  /// A temporary dictionary would dangle.
+  codec(algorithm a, bytes&& dictionary) = delete;
 
   [[nodiscard]] algorithm alg() const noexcept { return alg_; }
-  [[nodiscard]] const bytes& dictionary() const noexcept {
-    return dictionary_;
-  }
+  [[nodiscard]] bytes_view dictionary() const noexcept { return dictionary_; }
 
   /// Compresses a certificate-chain payload.
   [[nodiscard]] bytes compress(bytes_view input) const;
@@ -53,7 +54,7 @@ class codec {
 
  private:
   algorithm alg_;
-  bytes dictionary_;
+  bytes_view dictionary_;
   lz_params params_;
 };
 

@@ -5,7 +5,6 @@
 #include <span>
 
 #include "engine/engine.hpp"
-#include "util/hex.hpp"
 
 namespace certquic::core {
 namespace {
@@ -44,7 +43,7 @@ void account_fields(const x509::field_sizes& s,
 struct cert_digest {
   x509::field_sizes sizes;  // sizes.total is the DER size
   x509::key_algorithm key_alg = x509::key_algorithm::ecdsa_p256;
-  std::string serial_hex;  // parents only: the Table 2 dedup key
+  x509::serial_number serial{};  // parents only: the Table 2 dedup key
 };
 
 /// What the corpus aggregates read of one chain. Workers reduce each
@@ -65,7 +64,7 @@ chain_digest digest_chain(const x509::chain& chain) {
   d.certs.push_back({chain.leaf().sizes(), chain.leaf().key_alg(), {}});
   for (const auto& parent : chain.parents()) {
     d.certs.push_back(
-        {parent->sizes(), parent->key_alg(), to_hex(parent->serial())});
+        {parent->sizes(), parent->key_alg(), parent->serial()});
   }
   return d;
 }
@@ -112,7 +111,7 @@ corpus_result analyze_corpus(const internet::model& m,
 
   std::map<std::string, profile_accumulator> quic_profiles;
   std::map<std::string, profile_accumulator> https_profiles;
-  std::set<std::string> seen_nonleaf_serials[2];
+  std::set<x509::serial_number> seen_nonleaf_serials[2];
   std::size_t quic_services = 0;
   std::size_t https_services = 0;
   /// (leaf size, SAN share) per sampled QUIC service, for the Fig. 14
@@ -172,9 +171,7 @@ corpus_result analyze_corpus(const internet::model& m,
         const std::size_t side = is_quic ? 0 : 1;
         ++out.alg_counts[side][0][alg_index(leaf.key_alg)];
         for (cert_digest& parent : parents) {
-          if (seen_nonleaf_serials[side]
-                  .insert(std::move(parent.serial_hex))
-                  .second) {
+          if (seen_nonleaf_serials[side].insert(parent.serial).second) {
             ++out.alg_counts[side][1][alg_index(parent.key_alg)];
           }
         }

@@ -335,12 +335,14 @@ x509::chain model::chain_of(const service_record& rec, fetch_protocol proto,
     return eco_.issue_other(
         rec.domain, r, {.quic_flavor = rec.serves_quic(), .pq = pq});
   }
-  ca::chain_profile profile = eco_.profile(rec.chain_profile);
-  if (rec.force_rsa_leaf) {
-    profile.leaf.key_alg = x509::key_algorithm::rsa_2048;
-    profile.leaf.rsa_mix = 0.0;
+  const ca::chain_profile& profile = eco_.profile(rec.chain_profile);
+  if (!rec.force_rsa_leaf) {
+    return eco_.issue(profile, rec.domain, r, pq);
   }
-  return eco_.issue(profile, rec.domain, r, pq);
+  ca::chain_profile forced = profile;
+  forced.leaf.key_alg = x509::key_algorithm::rsa_2048;
+  forced.leaf.rsa_mix = 0.0;
+  return eco_.issue(forced, rec.domain, r, pq);
 }
 
 quic::server_behavior model::behavior_of(const service_record& rec) const {

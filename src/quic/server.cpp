@@ -109,12 +109,12 @@ server_behavior server_behavior::retry_always() {
 
 server::server(net::simulator& sim, net::endpoint_id address,
                x509::chain chain, server_behavior behavior,
-               bytes codec_dictionary, std::uint64_t seed)
+               bytes_view codec_dictionary, std::uint64_t seed)
     : sim_(sim),
       address_(address),
       chain_(std::move(chain)),
       behavior_(behavior),
-      codec_dictionary_(std::move(codec_dictionary)),
+      codec_dictionary_(codec_dictionary),
       rng_(seed) {
   sim_.attach(address_, [this](const net::datagram& d) { on_datagram(d); });
 }

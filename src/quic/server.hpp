@@ -35,9 +35,16 @@ struct server_stats {
 class server {
  public:
   /// `codec_dictionary` backs certificate compression when a client
-  /// offers an algorithm in `behavior.compression_support`.
+  /// offers an algorithm in `behavior.compression_support`. It is
+  /// borrowed and must outlive the server (the model's dictionary
+  /// outlives every probe).
   server(net::simulator& sim, net::endpoint_id address, x509::chain chain,
-         server_behavior behavior, bytes codec_dictionary, std::uint64_t seed);
+         server_behavior behavior, bytes_view codec_dictionary,
+         std::uint64_t seed);
+  /// A temporary dictionary would dangle.
+  server(net::simulator& sim, net::endpoint_id address, x509::chain chain,
+         server_behavior behavior, bytes&& codec_dictionary,
+         std::uint64_t seed) = delete;
   ~server();
 
   server(const server&) = delete;
@@ -110,7 +117,7 @@ class server {
   net::endpoint_id address_;
   x509::chain chain_;
   server_behavior behavior_;
-  bytes codec_dictionary_;
+  bytes_view codec_dictionary_;
   rng rng_;
   server_stats stats_;
   std::unordered_map<net::endpoint_id, std::unique_ptr<connection>> conns_;

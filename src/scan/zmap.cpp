@@ -12,7 +12,8 @@ zmap_result zmap_probe(x509::chain chain,
   const net::endpoint_id server_ep{net::ipv4::of(198, 51, 100, 1), 443};
   const net::endpoint_id prober_ep{net::ipv4::of(10, 98, 0, 1), 61000};
 
-  quic::server srv{sim, server_ep, std::move(chain), behavior, {}, seed ^ 1};
+  quic::server srv{sim,     server_ep,    std::move(chain),
+                   behavior, bytes_view{}, seed ^ 1};
   quic::client_config config;
   config.initial_size = initial_size;
   config.send_acks = false;

@@ -8,54 +8,52 @@ namespace certquic::x509 {
 certificate::certificate(certificate_spec spec, rng& r)
     : spec_(std::move(spec)) {
   // Random positive 16-byte serial, as issued by modern public CAs.
-  serial_.resize(16);
   r.fill(serial_);
   serial_[0] &= 0x7f;
 
-  const bytes version = asn1::context(0, asn1::encode_integer(2));  // v3
-  const bytes serial_der = asn1::encode_big_integer(serial_);
-  const bytes sig_alg_der = encode_signature_algorithm(spec_.sig_alg);
-  const bytes issuer_der = spec_.issuer.encode();
-  const bytes validity_der = asn1::sequence({
-      asn1::encode_utc_time(spec_.valid.not_before),
-      asn1::encode_utc_time(spec_.valid.not_after),
+  // Writes one element and returns its encoded size.
+  auto measured = [](asn1::writer& w, auto&& write) {
+    const std::size_t before = w.size();
+    write();
+    return w.size() - before;
+  };
+  der_ = asn1::encode([&](asn1::writer& w) {
+    w.sequence([&] {
+      w.sequence([&] {  // TBSCertificate
+        w.context(0, [&] { w.integer(2); });  // v3
+        w.big_integer(serial_);
+        encode_signature_algorithm(w, spec_.sig_alg);
+        sizes_.issuer = measured(w, [&] { spec_.issuer.encode(w); });
+        w.sequence([&] {
+          w.utc_time(spec_.valid.not_before);
+          w.utc_time(spec_.valid.not_after);
+        });
+        sizes_.subject = measured(w, [&] { spec_.subject.encode(w); });
+        sizes_.public_key_info =
+            measured(w, [&] { encode_spki(w, spec_.key_alg, r); });
+        w.context(3, [&] {
+          sizes_.extensions = measured(w, [&] {
+            w.sequence([&] {
+              for (const auto& ext : spec_.extensions) {
+                const std::size_t size = measured(w, [&] { ext.encode(w); });
+                if (ext.id == oids::subject_alt_name) {
+                  san_bytes_ += size;
+                }
+                if (ext.id == oids::basic_constraints) {
+                  // A CA certificate encodes cA=TRUE as a non-empty
+                  // constraint body.
+                  is_ca_ = ext.value.size() > 2;
+                }
+              }
+            });
+          });
+        });
+      });
+      encode_signature_algorithm(w, spec_.sig_alg);
+      sizes_.signature = measured(
+          w, [&] { encode_signature_value(w, spec_.sig_alg, r); });
+    });
   });
-  const bytes subject_der = spec_.subject.encode();
-  const bytes spki_der = encode_spki(spec_.key_alg, r);
-
-  std::vector<bytes> ext_ders;
-  ext_ders.reserve(spec_.extensions.size());
-  for (const auto& ext : spec_.extensions) {
-    ext_ders.push_back(ext.encode());
-    if (ext.id == oids::subject_alt_name) {
-      san_bytes_ += ext_ders.back().size();
-    }
-    if (ext.id == oids::basic_constraints) {
-      // A CA certificate encodes cA=TRUE as a non-empty constraint body.
-      is_ca_ = !ext.value.empty() && ext.value.size() > 2;
-    }
-  }
-  const bytes extensions_seq = asn1::sequence(ext_ders);
-  const bytes extensions_block = asn1::context(3, extensions_seq);
-
-  const bytes tbs = asn1::sequence({
-      version,
-      serial_der,
-      sig_alg_der,
-      issuer_der,
-      validity_der,
-      subject_der,
-      spki_der,
-      extensions_block,
-  });
-  const bytes signature_der = encode_signature_value(spec_.sig_alg, r);
-  der_ = asn1::sequence({tbs, sig_alg_der, signature_der});
-
-  sizes_.subject = subject_der.size();
-  sizes_.issuer = issuer_der.size();
-  sizes_.public_key_info = spki_der.size();
-  sizes_.extensions = extensions_seq.size();
-  sizes_.signature = signature_der.size();
   sizes_.total = der_.size();
 }
 

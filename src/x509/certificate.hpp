@@ -2,6 +2,7 @@
 // size accounting (the measurement basis for Figs. 2b, 6, 7, 8 and 14).
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -38,6 +39,9 @@ struct field_sizes {
   }
 };
 
+/// A certificate serial number: 16 random octets, top bit clear.
+using serial_number = std::array<std::uint8_t, 16>;
+
 /// Semantic description of a certificate to build.
 struct certificate_spec {
   distinguished_name issuer;
@@ -52,8 +56,9 @@ struct certificate_spec {
 /// size breakdown cached.
 class certificate {
  public:
-  /// Synthesizes serial, key material and signature from `r`, encodes
-  /// the certificate and records the field sizes.
+  /// Synthesizes serial, key material and signature from `r` (in that
+  /// order), encodes the certificate in one pass and records the field
+  /// sizes. The DER buffer's capacity is exactly its size.
   certificate(certificate_spec spec, rng& r);
 
   [[nodiscard]] const distinguished_name& issuer() const noexcept {
@@ -68,10 +73,9 @@ class certificate {
   [[nodiscard]] signature_algorithm sig_alg() const noexcept {
     return spec_.sig_alg;
   }
-  [[nodiscard]] const std::vector<extension>& extensions() const noexcept {
-    return spec_.extensions;
+  [[nodiscard]] const serial_number& serial() const noexcept {
+    return serial_;
   }
-  [[nodiscard]] const bytes& serial() const noexcept { return serial_; }
 
   /// Full DER encoding.
   [[nodiscard]] const bytes& der() const noexcept { return der_; }
@@ -98,7 +102,7 @@ class certificate {
 
  private:
   certificate_spec spec_;
-  bytes serial_;
+  serial_number serial_{};
   bytes der_;
   field_sizes sizes_;
   bool is_ca_ = false;

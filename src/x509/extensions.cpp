@@ -6,36 +6,45 @@
 namespace certquic::x509 {
 namespace {
 
-bytes random_octets(std::size_t n, rng& r) {
-  bytes out(n);
-  r.fill(out);
-  return out;
+/// Fills `out` (32 bytes) with the id of CT log `index % 8`.
+void fill_log_id(std::size_t index, std::span<std::uint8_t> out) {
+  // A fixed set of CT log identities stands in for the real public logs
+  // (Google Argon/Xenon, Cloudflare Nimbus, DigiCert Yeti, ...). Keeping
+  // them constant matters for the compression study: log ids repeat
+  // across the whole corpus and are dictionary-compressible, exactly as
+  // in real chains.
+  rng log_rng{0x1070'0000 + static_cast<std::uint64_t>(index % 8)};
+  log_rng.fill(out);
 }
 
 }  // namespace
 
-bytes extension::encode() const {
-  std::vector<bytes> parts;
-  parts.push_back(asn1::encode_oid(id));
-  if (critical) {
-    parts.push_back(asn1::encode_boolean(true));
-  }
-  parts.push_back(asn1::encode_octet_string(value));
-  return asn1::sequence(parts);
+void extension::encode(asn1::writer& w) const {
+  w.sequence([&] {
+    w.oid(id);
+    if (critical) {
+      w.boolean(true);
+    }
+    w.octet_string(value);
+  });
 }
 
-std::size_t extension::encoded_size() const { return encode().size(); }
+std::size_t extension::encoded_size() const {
+  return asn1::encode([&](asn1::writer& w) { encode(w); }).size();
+}
 
 extension make_basic_constraints(bool is_ca, std::optional<int> path_len) {
-  std::vector<bytes> parts;
-  if (is_ca) {
-    parts.push_back(asn1::encode_boolean(true));
-    if (path_len) {
-      parts.push_back(asn1::encode_integer(*path_len));
-    }
-  }
-  return extension{oids::basic_constraints, "basicConstraints",
-                   /*critical=*/true, asn1::sequence(parts)};
+  return {oids::basic_constraints, /*critical=*/true,
+          asn1::encode([&](asn1::writer& w) {
+            w.sequence([&] {
+              if (is_ca) {
+                w.boolean(true);
+                if (path_len) {
+                  w.integer(*path_len);
+                }
+              }
+            });
+          })};
 }
 
 extension make_key_usage(std::uint8_t bits) {
@@ -51,117 +60,115 @@ extension make_key_usage(std::uint8_t bits) {
       ++unused;
     }
   }
-  const bytes content{bits};
-  return extension{oids::key_usage, "keyUsage", /*critical=*/true,
-                   asn1::encode_bit_string(content,
-                                           static_cast<std::uint8_t>(unused))};
+  return {oids::key_usage, /*critical=*/true,
+          asn1::encode([&](asn1::writer& w) {
+            w.bit_string({&bits, 1}, static_cast<std::uint8_t>(unused));
+          })};
 }
 
 extension make_ext_key_usage(bool client_auth) {
-  std::vector<bytes> purposes;
-  purposes.push_back(asn1::encode_oid(oids::eku_server_auth));
-  if (client_auth) {
-    purposes.push_back(asn1::encode_oid(oids::eku_client_auth));
-  }
-  return extension{oids::ext_key_usage, "extKeyUsage", /*critical=*/false,
-                   asn1::sequence(purposes)};
+  return {oids::ext_key_usage, /*critical=*/false,
+          asn1::encode([&](asn1::writer& w) {
+            w.sequence([&] {
+              w.oid(oids::eku_server_auth);
+              if (client_auth) {
+                w.oid(oids::eku_client_auth);
+              }
+            });
+          })};
 }
 
 extension make_subject_key_id(rng& r) {
-  return extension{oids::subject_key_identifier, "subjectKeyIdentifier",
-                   /*critical=*/false,
-                   asn1::encode_octet_string(random_octets(20, r))};
+  return {oids::subject_key_identifier, /*critical=*/false,
+          asn1::encode([&](asn1::writer& w) {
+            r.fill(w.primitive(asn1::tag::octet_string, 20));
+          })};
 }
 
 extension make_authority_key_id(bytes_view issuer_key_id) {
   // AuthorityKeyIdentifier ::= SEQUENCE { keyIdentifier [0] IMPLICIT ... }.
-  const bytes key_id = asn1::context(0, issuer_key_id, /*constructed=*/false);
-  return extension{oids::authority_key_identifier, "authorityKeyIdentifier",
-                   /*critical=*/false, asn1::sequence({key_id})};
+  return {oids::authority_key_identifier, /*critical=*/false,
+          asn1::encode([&](asn1::writer& w) {
+            w.sequence([&] { w.implicit(0, issuer_key_id); });
+          })};
 }
 
 extension make_subject_alt_name(const std::vector<std::string>& dns_names) {
-  std::vector<bytes> names;
-  names.reserve(dns_names.size());
-  for (const auto& name : dns_names) {
-    // GeneralName dNSName is [2] IMPLICIT IA5String.
-    names.push_back(asn1::context(
-        2,
-        bytes_view{reinterpret_cast<const std::uint8_t*>(name.data()),
-                   name.size()},
-        /*constructed=*/false));
-  }
-  return extension{oids::subject_alt_name, "subjectAltName",
-                   /*critical=*/false, asn1::sequence(names)};
+  return {oids::subject_alt_name, /*critical=*/false,
+          asn1::encode([&](asn1::writer& w) {
+            w.sequence([&] {
+              for (const auto& name : dns_names) {
+                // GeneralName dNSName is [2] IMPLICIT IA5String.
+                w.implicit(2, std::string_view{name});
+              }
+            });
+          })};
 }
 
 extension make_authority_info_access(const std::string& ocsp_url,
                                      const std::string& ca_issuers_url) {
-  std::vector<bytes> descriptions;
-  auto access = [](const asn1::oid& method, const std::string& url) {
-    // GeneralName uniformResourceIdentifier is [6] IMPLICIT IA5String.
-    return asn1::sequence({
-        asn1::encode_oid(method),
-        asn1::context(6,
-                      bytes_view{reinterpret_cast<const std::uint8_t*>(
-                                     url.data()),
-                                 url.size()},
-                      /*constructed=*/false),
-    });
-  };
-  if (!ocsp_url.empty()) {
-    descriptions.push_back(access(oids::aia_ocsp, ocsp_url));
-  }
-  if (!ca_issuers_url.empty()) {
-    descriptions.push_back(access(oids::aia_ca_issuers, ca_issuers_url));
-  }
-  return extension{oids::authority_info_access, "authorityInfoAccess",
-                   /*critical=*/false, asn1::sequence(descriptions)};
+  return {oids::authority_info_access, /*critical=*/false,
+          asn1::encode([&](asn1::writer& w) {
+            auto access = [&w](const asn1::object_id& method,
+                               std::string_view url) {
+              // GeneralName uniformResourceIdentifier is [6] IMPLICIT
+              // IA5String.
+              w.sequence([&] {
+                w.oid(method);
+                w.implicit(6, url);
+              });
+            };
+            w.sequence([&] {
+              if (!ocsp_url.empty()) {
+                access(oids::aia_ocsp, ocsp_url);
+              }
+              if (!ca_issuers_url.empty()) {
+                access(oids::aia_ca_issuers, ca_issuers_url);
+              }
+            });
+          })};
 }
 
 extension make_crl_distribution_points(const std::string& url) {
-  const bytes uri = asn1::context(
-      6, bytes_view{reinterpret_cast<const std::uint8_t*>(url.data()),
-                    url.size()},
-      /*constructed=*/false);
   // DistributionPoint ::= SEQUENCE { distributionPoint [0] { fullName [0]
   //   GeneralNames } } — two nested context tags around the URI.
-  const bytes point = asn1::sequence(
-      {asn1::context(0, asn1::context(0, uri))});
-  return extension{oids::crl_distribution_points, "cRLDistributionPoints",
-                   /*critical=*/false, asn1::sequence({point})};
+  return {oids::crl_distribution_points, /*critical=*/false,
+          asn1::encode([&](asn1::writer& w) {
+            w.sequence([&] {
+              w.sequence([&] {
+                w.context(0, [&] {
+                  w.context(0, [&] { w.implicit(6, std::string_view{url}); });
+                });
+              });
+            });
+          })};
 }
 
 extension make_certificate_policies(bool organization_validated,
                                     const std::string& cps_uri) {
-  std::vector<bytes> qualifiers;
-  if (!cps_uri.empty()) {
-    qualifiers.push_back(asn1::sequence({
-        asn1::encode_oid(oids::policy_cps),
-        asn1::encode_ia5_string(cps_uri),
-    }));
-  }
-  std::vector<bytes> policy_info;
-  policy_info.push_back(asn1::encode_oid(
-      organization_validated ? oids::policy_organization_validated
-                             : oids::policy_domain_validated));
-  if (!qualifiers.empty()) {
-    policy_info.push_back(asn1::sequence(qualifiers));
-  }
-  return extension{oids::certificate_policies, "certificatePolicies",
-                   /*critical=*/false,
-                   asn1::sequence({asn1::sequence(policy_info)})};
+  return {oids::certificate_policies, /*critical=*/false,
+          asn1::encode([&](asn1::writer& w) {
+            w.sequence([&] {
+              w.sequence([&] {
+                w.oid(organization_validated
+                          ? oids::policy_organization_validated
+                          : oids::policy_domain_validated);
+                if (!cps_uri.empty()) {
+                  w.sequence([&] {
+                    w.sequence([&] {
+                      w.oid(oids::policy_cps);
+                      w.ia5_string(cps_uri);
+                    });
+                  });
+                }
+              });
+            });
+          })};
 }
 
 bytes well_known_log_id(std::size_t index) {
-  // A fixed set of CT log identities stands in for the real public logs
-  // (Google Argon/Xenon, Cloudflare Nimbus, DigiCert Yeti, ...). Keeping
-  // them constant matters for the compression study: log ids repeat
-  // across the whole corpus and are dictionary-compressible, exactly as
-  // in real chains.
   bytes id(32);
-  rng log_rng{0x1070'0000 + static_cast<std::uint64_t>(index % 8)};
-  log_rng.fill(id);
+  fill_log_id(index, id);
   return id;
 }
 
@@ -169,23 +176,24 @@ extension make_sct_list(std::size_t count, rng& r) {
   // RFC 6962 SignedCertificateTimestampList inside an OCTET STRING:
   // a 2-byte list length, then per SCT a 2-byte length + 119 bytes
   // (version + 32-byte log id + timestamp + ECDSA signature).
-  bytes list;
-  buffer_writer w;
-  const auto list_len = w.reserve_u16();
-  for (std::size_t i = 0; i < count; ++i) {
-    bytes sct;
-    sct.push_back(0);  // version v1
-    const bytes log_id = well_known_log_id(r.uniform(0, 7));
-    append(sct, log_id);
-    bytes tail = random_octets(86, r);  // timestamp + ECDSA signature
-    append(sct, tail);
-    w.u16(static_cast<std::uint16_t>(sct.size()));
-    w.raw(sct);
-  }
-  w.patch_u16(list_len, static_cast<std::uint16_t>(w.size() - 2));
-  list = std::move(w).take();
-  return extension{oids::sct_list, "signedCertificateTimestamps",
-                   /*critical=*/false, asn1::encode_octet_string(list)};
+  constexpr std::size_t kSct = 1 + 32 + 86;
+  const std::size_t list_len = count * (2 + kSct);
+  return {oids::sct_list, /*critical=*/false,
+          asn1::encode([&](asn1::writer& w) {
+            const std::span<std::uint8_t> list =
+                w.primitive(asn1::tag::octet_string, 2 + list_len);
+            list[0] = static_cast<std::uint8_t>(list_len >> 8);
+            list[1] = static_cast<std::uint8_t>(list_len);
+            for (std::size_t i = 0; i < count; ++i) {
+              const std::span<std::uint8_t> sct =
+                  list.subspan(2 + i * (2 + kSct), 2 + kSct);
+              sct[0] = 0;
+              sct[1] = static_cast<std::uint8_t>(kSct);
+              sct[2] = 0;  // version v1
+              fill_log_id(r.uniform(0, 7), sct.subspan(3, 32));
+              r.fill(sct.subspan(35));  // timestamp + ECDSA signature
+            }
+          })};
 }
 
 std::vector<std::string> parse_subject_alt_name(const extension& ext) {

@@ -16,14 +16,13 @@ namespace certquic::x509 {
 /// One certificate extension. `value` holds the DER inside the extnValue
 /// OCTET STRING; `encode()` produces the full Extension SEQUENCE.
 struct extension {
-  asn1::oid id;
-  std::string name;  // for reports, e.g. "subjectAltName"
+  asn1::object_id id;
   bool critical = false;
   bytes value;
 
-  /// Extension ::= SEQUENCE { extnID, critical BOOLEAN DEFAULT FALSE,
-  ///                          extnValue OCTET STRING }.
-  [[nodiscard]] bytes encode() const;
+  /// Writes Extension ::= SEQUENCE { extnID, critical BOOLEAN DEFAULT
+  /// FALSE, extnValue OCTET STRING }.
+  void encode(asn1::writer& w) const;
   /// Size of the encoded Extension TLV in bytes.
   [[nodiscard]] std::size_t encoded_size() const;
 };

@@ -6,49 +6,73 @@
 namespace certquic::x509 {
 namespace {
 
-bytes random_magnitude(std::size_t n, rng& r, bool set_top_bit) {
-  bytes out(n);
-  r.fill(out);
-  if (set_top_bit && !out.empty()) {
-    out[0] |= 0x80;
+/// Writes a BIT STRING (no unused bits) over `n` octets drawn from `r`;
+/// with `set_top_bit`, the first octet's top bit is forced on, as for a
+/// full-size RSA modulus or signature.
+void random_bit_string(asn1::writer& w, std::size_t n, rng& r,
+                       bool set_top_bit = false) {
+  const std::span<std::uint8_t> content =
+      w.primitive(asn1::tag::bit_string, 1 + n);
+  const std::span<std::uint8_t> bits = content.subspan(1);
+  r.fill(bits);
+  if (set_top_bit) {
+    bits[0] |= 0x80;
   }
-  return out;
 }
 
-bytes encode_rsa_spki(std::size_t modulus_bytes, rng& r) {
-  const bytes modulus = random_magnitude(modulus_bytes, r, true);
-  const bytes rsa_key = asn1::sequence({
-      asn1::encode_big_integer(modulus),
-      asn1::encode_integer(65537),
+void encode_rsa_spki(asn1::writer& w, std::size_t modulus_bytes, rng& r) {
+  w.sequence([&] {
+    w.sequence([&] {
+      w.oid(oids::rsa_encryption);
+      w.null();
+    });
+    // BIT STRING { RSAPublicKey ::= SEQUENCE { modulus, exponent } }; the
+    // modulus has its top bit set, so its INTEGER carries a 0x00 sign
+    // octet in front of the random magnitude.
+    w.nested(asn1::tag::bit_string, [&] {
+      w.raw(std::array<std::uint8_t, 1>{0});  // no unused bits
+      w.sequence([&] {
+        const std::span<std::uint8_t> modulus =
+            w.primitive(asn1::tag::integer, 1 + modulus_bytes).subspan(1);
+        r.fill(modulus);
+        modulus[0] |= 0x80;
+        w.integer(65537);
+      });
+    });
   });
-  const bytes alg = asn1::sequence({
-      asn1::encode_oid(oids::rsa_encryption),
-      asn1::encode_null(),
-  });
-  return asn1::sequence({alg, asn1::encode_bit_string(rsa_key)});
 }
 
-bytes encode_ec_spki(const asn1::oid& curve, std::size_t coord_bytes, rng& r) {
-  // Uncompressed point: 0x04 || X || Y.
-  bytes point(1 + 2 * coord_bytes);
-  point[0] = 0x04;
-  r.fill({point.data() + 1, point.size() - 1});
-  const bytes alg = asn1::sequence({
-      asn1::encode_oid(oids::ec_public_key),
-      asn1::encode_oid(curve),
+void encode_ec_spki(asn1::writer& w, const asn1::object_id& curve,
+                    std::size_t coord_bytes, rng& r) {
+  w.sequence([&] {
+    w.sequence([&] {
+      w.oid(oids::ec_public_key);
+      w.oid(curve);
+    });
+    // Uncompressed point: 0x04 || X || Y.
+    const std::span<std::uint8_t> content =
+        w.primitive(asn1::tag::bit_string, 2 + 2 * coord_bytes);
+    content[1] = 0x04;
+    r.fill(content.subspan(2));
   });
-  return asn1::sequence({alg, asn1::encode_bit_string(point)});
 }
 
-bytes ecdsa_signature(std::size_t coord_bytes, rng& r) {
+void ecdsa_signature(asn1::writer& w, std::size_t coord_bytes, rng& r) {
   // ECDSA-Sig-Value ::= SEQUENCE { r INTEGER, s INTEGER }.
   // Random magnitudes reproduce the real size jitter (+0/1 byte for the
   // sign octet) of DER-encoded ECDSA signatures.
-  const bytes rv = random_magnitude(coord_bytes, r, false);
-  const bytes sv = random_magnitude(coord_bytes, r, false);
-  return asn1::sequence({
-      asn1::encode_big_integer(rv),
-      asn1::encode_big_integer(sv),
+  std::array<std::uint8_t, 48> rv{};
+  std::array<std::uint8_t, 48> sv{};
+  const std::span<std::uint8_t> rs{rv.data(), coord_bytes};
+  const std::span<std::uint8_t> ss{sv.data(), coord_bytes};
+  r.fill(rs);
+  r.fill(ss);
+  w.nested(asn1::tag::bit_string, [&] {
+    w.raw(std::array<std::uint8_t, 1>{0});  // no unused bits
+    w.sequence([&] {
+      w.big_integer(rs);
+      w.big_integer(ss);
+    });
   });
 }
 
@@ -56,7 +80,7 @@ bytes ecdsa_signature(std::size_t coord_bytes, rng& r) {
 // the standard); the quantities that make PQC chains blow through the
 // QUIC amplification budgets.
 struct mldsa_params {
-  const asn1::oid& oid;
+  const asn1::object_id& oid;
   std::size_t public_key_bytes;
   std::size_t signature_bytes;
 };
@@ -90,14 +114,14 @@ const mldsa_params& mldsa_of(signature_algorithm a) {
   }
 }
 
-bytes encode_mldsa_spki(key_algorithm a, rng& r) {
+void encode_mldsa_spki(asn1::writer& w, key_algorithm a, rng& r) {
   // ML-DSA AlgorithmIdentifiers carry no parameters, and the key is the
   // raw encoded public key inside the BIT STRING.
   const mldsa_params& p = mldsa_of(a);
-  bytes key(p.public_key_bytes);
-  r.fill(key);
-  const bytes alg = asn1::sequence({asn1::encode_oid(p.oid)});
-  return asn1::sequence({alg, asn1::encode_bit_string(key)});
+  w.sequence([&] {
+    w.sequence([&] { w.oid(p.oid); });
+    random_bit_string(w, p.public_key_bytes, r);
+  });
 }
 
 }  // namespace
@@ -194,64 +218,65 @@ signature_algorithm signature_by(key_algorithm issuer_key) {
   throw config_error("unknown issuer key_algorithm");
 }
 
-bytes encode_signature_algorithm(signature_algorithm a) {
-  switch (a) {
-    case signature_algorithm::sha256_rsa_2048:
-    case signature_algorithm::sha256_rsa_4096:
-      // RSA AlgorithmIdentifiers carry an explicit NULL parameter.
-      return asn1::sequence({
-          asn1::encode_oid(oids::sha256_with_rsa),
-          asn1::encode_null(),
-      });
-    case signature_algorithm::ecdsa_sha256:
-      return asn1::sequence({asn1::encode_oid(oids::ecdsa_with_sha256)});
-    case signature_algorithm::ecdsa_sha384:
-      return asn1::sequence({asn1::encode_oid(oids::ecdsa_with_sha384)});
-    case signature_algorithm::mldsa_44:
-    case signature_algorithm::mldsa_65:
-    case signature_algorithm::mldsa_87:
-      // ML-DSA AlgorithmIdentifiers have absent parameters.
-      return asn1::sequence({asn1::encode_oid(mldsa_of(a).oid)});
-  }
-  throw config_error("unknown signature_algorithm");
+void encode_signature_algorithm(asn1::writer& w, signature_algorithm a) {
+  w.sequence([&] {
+    switch (a) {
+      case signature_algorithm::sha256_rsa_2048:
+      case signature_algorithm::sha256_rsa_4096:
+        // RSA AlgorithmIdentifiers carry an explicit NULL parameter.
+        w.oid(oids::sha256_with_rsa);
+        w.null();
+        return;
+      case signature_algorithm::ecdsa_sha256:
+        w.oid(oids::ecdsa_with_sha256);
+        return;
+      case signature_algorithm::ecdsa_sha384:
+        w.oid(oids::ecdsa_with_sha384);
+        return;
+      case signature_algorithm::mldsa_44:
+      case signature_algorithm::mldsa_65:
+      case signature_algorithm::mldsa_87:
+        // ML-DSA AlgorithmIdentifiers have absent parameters.
+        w.oid(mldsa_of(a).oid);
+        return;
+    }
+    throw config_error("unknown signature_algorithm");
+  });
 }
 
-bytes encode_spki(key_algorithm a, rng& r) {
+void encode_spki(asn1::writer& w, key_algorithm a, rng& r) {
   switch (a) {
     case key_algorithm::rsa_2048:
-      return encode_rsa_spki(256, r);
+      return encode_rsa_spki(w, 256, r);
     case key_algorithm::rsa_4096:
-      return encode_rsa_spki(512, r);
+      return encode_rsa_spki(w, 512, r);
     case key_algorithm::ecdsa_p256:
-      return encode_ec_spki(oids::curve_p256, 32, r);
+      return encode_ec_spki(w, oids::curve_p256, 32, r);
     case key_algorithm::ecdsa_p384:
-      return encode_ec_spki(oids::curve_p384, 48, r);
+      return encode_ec_spki(w, oids::curve_p384, 48, r);
     case key_algorithm::mldsa_44:
     case key_algorithm::mldsa_65:
     case key_algorithm::mldsa_87:
-      return encode_mldsa_spki(a, r);
+      return encode_mldsa_spki(w, a, r);
   }
   throw config_error("unknown key_algorithm");
 }
 
-bytes encode_signature_value(signature_algorithm a, rng& r) {
+void encode_signature_value(asn1::writer& w, signature_algorithm a, rng& r) {
   switch (a) {
     case signature_algorithm::sha256_rsa_2048:
-      return asn1::encode_bit_string(random_magnitude(256, r, true));
+      return random_bit_string(w, 256, r, /*set_top_bit=*/true);
     case signature_algorithm::sha256_rsa_4096:
-      return asn1::encode_bit_string(random_magnitude(512, r, true));
+      return random_bit_string(w, 512, r, /*set_top_bit=*/true);
     case signature_algorithm::ecdsa_sha256:
-      return asn1::encode_bit_string(ecdsa_signature(32, r));
+      return ecdsa_signature(w, 32, r);
     case signature_algorithm::ecdsa_sha384:
-      return asn1::encode_bit_string(ecdsa_signature(48, r));
+      return ecdsa_signature(w, 48, r);
     case signature_algorithm::mldsa_44:
     case signature_algorithm::mldsa_65:
-    case signature_algorithm::mldsa_87: {
+    case signature_algorithm::mldsa_87:
       // The ML-DSA signature is a fixed-size opaque byte string.
-      bytes sig(mldsa_of(a).signature_bytes);
-      r.fill(sig);
-      return asn1::encode_bit_string(sig);
-    }
+      return random_bit_string(w, mldsa_of(a).signature_bytes, r);
   }
   throw config_error("unknown signature_algorithm");
 }

@@ -13,7 +13,6 @@
 #include <string_view>
 
 #include "asn1/der.hpp"
-#include "util/bytes.hpp"
 #include "util/rng.hpp"
 
 namespace certquic::x509 {
@@ -72,14 +71,16 @@ enum class pq_profile : std::uint8_t {
 /// algorithm `a` (RSA keys sign sha256WithRSA, P-384 signs ecdsa-sha384).
 [[nodiscard]] signature_algorithm signature_by(key_algorithm issuer_key);
 
-/// DER AlgorithmIdentifier for a signature algorithm.
-[[nodiscard]] bytes encode_signature_algorithm(signature_algorithm a);
+/// Writes the DER AlgorithmIdentifier of a signature algorithm.
+void encode_signature_algorithm(asn1::writer& w, signature_algorithm a);
 
-/// DER SubjectPublicKeyInfo with freshly synthesized key bits.
-[[nodiscard]] bytes encode_spki(key_algorithm a, rng& r);
+/// Writes a DER SubjectPublicKeyInfo with freshly synthesized key bits,
+/// drawn from `r` straight into the buffer.
+void encode_spki(asn1::writer& w, key_algorithm a, rng& r);
 
-/// Synthesized signatureValue BIT STRING matching the algorithm's
-/// real-world size (RSA: modulus-sized; ECDSA: DER-encoded r/s pair).
-[[nodiscard]] bytes encode_signature_value(signature_algorithm a, rng& r);
+/// Writes a synthesized signatureValue BIT STRING matching the
+/// algorithm's real-world size (RSA: modulus-sized; ECDSA: DER-encoded
+/// r/s pair).
+void encode_signature_value(asn1::writer& w, signature_algorithm a, rng& r);
 
 }  // namespace certquic::x509

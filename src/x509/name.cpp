@@ -27,17 +27,21 @@ std::string distinguished_name::common_name() const {
   return {};
 }
 
-bytes distinguished_name::encode() const {
-  std::vector<bytes> rdns;
-  rdns.reserve(parts_.size());
-  for (const auto& part : parts_) {
-    const bytes attr = asn1::encode_oid(part.attribute);
-    const bytes value = part.printable
-                            ? asn1::encode_printable_string(part.value)
-                            : asn1::encode_utf8_string(part.value);
-    rdns.push_back(asn1::set({asn1::sequence({attr, value})}));
-  }
-  return asn1::sequence(rdns);
+void distinguished_name::encode(asn1::writer& w) const {
+  w.sequence([&] {
+    for (const auto& part : parts_) {
+      w.set([&] {
+        w.sequence([&] {
+          w.oid(part.attribute);
+          if (part.printable) {
+            w.printable_string(part.value);
+          } else {
+            w.utf8_string(part.value);
+          }
+        });
+      });
+    }
+  });
 }
 
 std::string distinguished_name::to_string() const {

@@ -5,13 +5,12 @@
 #include <vector>
 
 #include "asn1/der.hpp"
-#include "util/bytes.hpp"
 
 namespace certquic::x509 {
 
 /// One relative distinguished name component, e.g. CN=example.org.
 struct rdn {
-  asn1::oid attribute;
+  asn1::object_id attribute;
   std::string value;
   /// PrintableString when true (C=, short names), UTF8String otherwise.
   bool printable = false;
@@ -39,8 +38,8 @@ class distinguished_name {
   /// Returns the CN value or "" when absent.
   [[nodiscard]] std::string common_name() const;
 
-  /// DER RDNSequence encoding.
-  [[nodiscard]] bytes encode() const;
+  /// Writes the DER RDNSequence.
+  void encode(asn1::writer& w) const;
 
   /// Human-readable "C=US, O=Example, CN=example.org".
   [[nodiscard]] std::string to_string() const;

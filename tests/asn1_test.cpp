@@ -94,14 +94,77 @@ TEST(DerHeader, ExactBytesAtEveryLengthFormBoundary) {
   }
 }
 
-TEST(DerSequence, VectorAndInitializerListAgree) {
-  const bytes a = encode_integer(-129);
-  const bytes b = encode_octet_string(bytes(200, 0x11));
-  const bytes c = encode_null();
-  EXPECT_EQ(sequence(std::vector<bytes>{a, b, c}),
-            sequence({view(a), view(b), view(c)}));
-  EXPECT_EQ(sequence(std::vector<bytes>{}), sequence({}));
-  EXPECT_EQ(sequence(std::vector<bytes>{b}), sequence({view(b)}));
+// A nested TLV is back-patched when it closes: at every length-form
+// boundary of the inner content, SET { SEQUENCE { content } } must be
+// byte-identical to headers computed up front.
+TEST(DerWriter, BackPatchesNestedLengthsAtEveryBoundary) {
+  bytes content;
+  for (const auto& [length, octets] : length_boundaries()) {
+    content.assign(length, 0x5a);
+    bytes inner = encode_header(0x30, length);
+    inner.insert(inner.end(), content.begin(), content.end());
+    bytes expected = encode_header(0x31, inner.size());
+    expected.insert(expected.end(), inner.begin(), inner.end());
+
+    bytes out = {0xee};  // the writer appends after what is there
+    writer w{out};
+    w.set([&] { w.sequence([&] { w.raw(content); }); });
+    ASSERT_EQ(out.size(), 1 + expected.size()) << "length " << length;
+    EXPECT_EQ(out[0], 0xee);
+    EXPECT_TRUE(std::equal(expected.begin(), expected.end(), out.begin() + 1))
+        << "length " << length;
+  }
+}
+
+TEST(DerWriter, PrimitiveReturnsZeroedContentAfterHeader) {
+  for (const auto& [length, octets] : length_boundaries()) {
+    if (length > 0x10000) {
+      continue;
+    }
+    bytes out;
+    writer w{out};
+    const std::span<std::uint8_t> content = w.primitive(0x04, length);
+    ASSERT_EQ(content.size(), length);
+    EXPECT_TRUE(std::all_of(content.begin(), content.end(),
+                            [](std::uint8_t b) { return b == 0; }));
+    std::fill(content.begin(), content.end(), std::uint8_t{0x5a});
+    EXPECT_TRUE(is_tlv(out, 0x04, octets, bytes(length, 0x5a)))
+        << "length " << length;
+  }
+}
+
+TEST(DerWriter, EncodeIsExactAndNests) {
+  // encode() inside another encode() body must not share its buffer.
+  const bytes outer = encode([](writer& w) {
+    w.sequence([&] {
+      const bytes inner = encode([](writer& iw) { iw.integer(5); });
+      EXPECT_EQ(inner.capacity(), inner.size());
+      w.raw(inner);
+      w.octet_string(bytes(300, 0x11));
+    });
+  });
+  EXPECT_EQ(outer, sequence({view(encode_integer(5)),
+                             view(encode_octet_string(bytes(300, 0x11)))}));
+  EXPECT_EQ(outer.capacity(), outer.size());
+  // A body that throws leaves later encodes intact.
+  EXPECT_THROW((void)encode([](writer& w) {
+                 w.sequence([&] { w.utc_time("bad"); });
+               }),
+               codec_error);
+  EXPECT_EQ(encode([](writer& w) { w.null(); }), encode_null());
+}
+
+TEST(DerObjectId, PackedAtCompileTimeLikeEncodeOid) {
+  constexpr object_id rsa{1, 2, 840, 113549, 1, 1, 11};
+  constexpr object_id san{2, 5, 29, 17};
+  const bytes rsa_der = encode([&](writer& w) { w.oid(rsa); });
+  EXPECT_EQ(rsa_der, encode_oid({1, 2, 840, 113549, 1, 1, 11}));
+  EXPECT_EQ(encode([&](writer& w) { w.oid(san); }),
+            encode_oid({2, 5, 29, 17}));
+  EXPECT_EQ(rsa, (object_id{1, 2, 840, 113549, 1, 1, 11}));
+  EXPECT_NE(rsa, san);
+  buffer_reader r{rsa_der};
+  EXPECT_EQ(decode_oid(read_tlv(r)), (oid{1, 2, 840, 113549, 1, 1, 11}));
 }
 
 TEST(DerInteger, KnownEncodings) {

@@ -248,13 +248,13 @@ TEST(Packet, TrailingZerosAreDatagramPadding) {
 struct handshake_fixture {
   net::simulator sim;
   ca::ecosystem eco = ca::ecosystem::make();
+  bytes dictionary = eco.compression_dictionary();
 
   observation run(const char* profile, server_behavior behavior,
                   client_config config, const std::string& domain = "x.org") {
     rng issue_rng{99};
     auto chain = eco.issue(eco.profile(profile), domain, issue_rng);
-    server srv{sim, kServerEp, std::move(chain), behavior,
-               eco.compression_dictionary(), 1};
+    server srv{sim, kServerEp, std::move(chain), behavior, dictionary, 1};
     client cli{sim, kClientEp, kServerEp, std::move(config), 2};
     cli.start();
     sim.run();
@@ -452,10 +452,11 @@ TEST(Handshake, BudgetBlockedFlightsAreTimed) {
   // most the round trip that releases it).
   net::simulator sim;
   ca::ecosystem eco = ca::ecosystem::make();
+  const bytes dictionary = eco.compression_dictionary();
   rng issue_rng{99};
   auto chain = eco.issue(eco.profile("le-r3-x1cross"), "x.org", issue_rng);
   server srv{sim,   kServerEp, std::move(chain),
-             server_behavior::compliant(), eco.compression_dictionary(), 1};
+             server_behavior::compliant(), dictionary, 1};
   client cli{sim, kClientEp, kServerEp,
              client_config{.initial_size = 1362}, 2};
   cli.start();
@@ -632,11 +633,12 @@ std::vector<bytes> probe_datagrams(const ca::ecosystem& eco,
                                    server_behavior behavior) {
   net::simulator sim;
   rng r{31};
+  const bytes dictionary = eco.compression_dictionary();
   server srv{sim,
              kServerEp,
              eco.issue(eco.profile("le-r3-x1cross"), "mut.example", r),
              std::move(behavior),
-             eco.compression_dictionary(),
+             dictionary,
              3};
   std::vector<bytes> out;
   sim.attach(kClientEp,

@@ -12,6 +12,7 @@ namespace {
 class TlsTest : public ::testing::Test {
  protected:
   ca::ecosystem eco_ = ca::ecosystem::make();
+  bytes dictionary_ = eco_.compression_dictionary();
   rng rng_{77};
 
   x509::chain make_chain(const char* profile = "cloudflare") {
@@ -81,8 +82,7 @@ TEST_F(TlsTest, CertificateMessageMatchesChainSize) {
 
 TEST_F(TlsTest, CompressedCertificateShrinksChain) {
   const auto chain = make_chain("le-r3-x1cross");
-  const compress::codec codec{compress::algorithm::brotli,
-                              eco_.compression_dictionary()};
+  const compress::codec codec{compress::algorithm::brotli, dictionary_};
   const bytes plain = encode_certificate(chain);
   const bytes compressed = encode_compressed_certificate(chain, codec);
   EXPECT_EQ(peek_frame(compressed).type,
@@ -133,8 +133,7 @@ TEST_F(TlsTest, FlightSizeDominatedByCertificate) {
 
 TEST_F(TlsTest, CompressedFlightFitsAmplificationBudget) {
   const auto chain = make_chain("le-r3-x1cross");
-  const compress::codec codec{compress::algorithm::brotli,
-                              eco_.compression_dictionary()};
+  const compress::codec codec{compress::algorithm::brotli, dictionary_};
   const auto plain = build_server_flight(chain, nullptr, rng_);
   const auto packed = build_server_flight(chain, &codec, rng_);
   // §4.2: compression keeps 99% of chains under 3x1357 = 4071 bytes.

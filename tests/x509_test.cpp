@@ -10,6 +10,15 @@
 namespace certquic::x509 {
 namespace {
 
+bytes spki_of(key_algorithm a, rng& r) {
+  return asn1::encode([&](asn1::writer& w) { encode_spki(w, a, r); });
+}
+
+bytes signature_of(signature_algorithm a, rng& r) {
+  return asn1::encode(
+      [&](asn1::writer& w) { encode_signature_value(w, a, r); });
+}
+
 certificate make_leaf(rng& r, key_algorithm key = key_algorithm::ecdsa_p256,
                       signature_algorithm sig =
                           signature_algorithm::sha256_rsa_2048,
@@ -57,7 +66,7 @@ TEST(DistinguishedName, EncodeAndRender) {
   const auto dn = distinguished_name::org("US", "Let's Encrypt", "R3");
   EXPECT_EQ(dn.to_string(), "C=US, O=Let's Encrypt, CN=R3");
   EXPECT_EQ(dn.common_name(), "R3");
-  const bytes der = dn.encode();
+  const bytes der = asn1::encode([&](asn1::writer& w) { dn.encode(w); });
   EXPECT_EQ(der[0], 0x30);
   // C(13) + O(~24) + CN(~9) + header: spot-check a plausible size window.
   EXPECT_GT(der.size(), 30u);
@@ -76,29 +85,29 @@ TEST(Key, SpkiSizesMatchRealWorld) {
   rng r{1};
   // Real-world DER sizes: RSA-2048 SPKI = 294 B, RSA-4096 = 550 B,
   // P-256 = 91 B, P-384 = 120 B.
-  EXPECT_EQ(encode_spki(key_algorithm::rsa_2048, r).size(), 294u);
-  EXPECT_EQ(encode_spki(key_algorithm::rsa_4096, r).size(), 550u);
-  EXPECT_EQ(encode_spki(key_algorithm::ecdsa_p256, r).size(), 91u);
-  EXPECT_EQ(encode_spki(key_algorithm::ecdsa_p384, r).size(), 120u);
+  EXPECT_EQ(spki_of(key_algorithm::rsa_2048, r).size(), 294u);
+  EXPECT_EQ(spki_of(key_algorithm::rsa_4096, r).size(), 550u);
+  EXPECT_EQ(spki_of(key_algorithm::ecdsa_p256, r).size(), 91u);
+  EXPECT_EQ(spki_of(key_algorithm::ecdsa_p384, r).size(), 120u);
 }
 
 TEST(Key, SignatureSizesMatchRealWorld) {
   rng r{2};
-  EXPECT_EQ(encode_signature_value(signature_algorithm::sha256_rsa_2048, r)
+  EXPECT_EQ(signature_of(signature_algorithm::sha256_rsa_2048, r)
                 .size(),
             261u);  // 256 + BIT STRING framing
-  EXPECT_EQ(encode_signature_value(signature_algorithm::sha256_rsa_4096, r)
+  EXPECT_EQ(signature_of(signature_algorithm::sha256_rsa_4096, r)
                 .size(),
             517u);
   // ECDSA signatures jitter by the r/s sign octets: P-256 in [70, 74],
   // P-384 in [102, 106] including framing.
   for (int i = 0; i < 50; ++i) {
     const auto p256 =
-        encode_signature_value(signature_algorithm::ecdsa_sha256, r).size();
+        signature_of(signature_algorithm::ecdsa_sha256, r).size();
     EXPECT_GE(p256, 70u);
     EXPECT_LE(p256, 77u);
     const auto p384 =
-        encode_signature_value(signature_algorithm::ecdsa_sha384, r).size();
+        signature_of(signature_algorithm::ecdsa_sha384, r).size();
     EXPECT_GE(p384, 102u);
     EXPECT_LE(p384, 109u);
   }

@@ -6,8 +6,9 @@
 #                        [--sanitize] [--tidy] [extra ctest args...]
 #   tools/verify.sh                 # full run: tier-1 + tier-2 ctest,
 #                                   # out-of-core and epochs (kill-resume)
-#                                   # smokes, architecture analyzer, docs
-#                                   # check
+#                                   # smokes, architecture analyzer, the
+#                                   # Release -Werror build (build-release/),
+#                                   # docs check
 #   tools/verify.sh -L tier1        # the full run with ctest limited to
 #                                   # tier-1
 #   tools/verify.sh --docs          # docs/golden-coverage check (no build)
@@ -174,6 +175,22 @@ analyze_check() {
   fi
 }
 
+# Release -Werror build of every target, in build-release/: the -O3
+# configuration perfbench measures. GCC warns differently per
+# optimization level (-Wrestrict, -Wmaybe-uninitialized), so the
+# RelWithDebInfo tree building clean does not prove this one does.
+# Builds only; the tests run in build/. Expects cwd = repo root.
+release_check() {
+  if cmake -B build-release -S . -DCMAKE_BUILD_TYPE=Release \
+       -DCERTQUIC_WERROR=ON > /dev/null &&
+     cmake --build build-release -j "$jobs"; then
+    echo "OK   release: Release -Werror build of every target"
+  else
+    echo "FAIL release: the Release -Werror build failed"
+    return 1
+  fi
+}
+
 # Opt-in clang-tidy stage: the checked-in .clang-tidy over src/,
 # driven by build/compile_commands.json (exported unconditionally by
 # the root CMakeLists). Skips with a notice when run-clang-tidy is
@@ -316,6 +333,9 @@ if [ "$full" -eq 1 ] || [ -n "$engine_threads" ]; then
 fi
 if [ "$full" -eq 1 ] || [ "$analyze" -eq 1 ] || [ -n "$engine_threads" ]; then
   analyze_check || status=1
+fi
+if [ "$full" -eq 1 ]; then
+  release_check || status=1
 fi
 if [ "$tidy" -eq 1 ]; then
   tidy_check || status=1
