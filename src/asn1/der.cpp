@@ -160,94 +160,11 @@ void return_scratch(bytes&& scratch) noexcept {
 
 }  // namespace detail
 
-// --- one-TLV wrappers ------------------------------------------------------
-
-bytes encode_header(std::uint8_t tag_byte, std::size_t length) {
-  bytes out;
-  put_header(out, tag_byte, length);
-  return out;
-}
-
-bytes wrap(std::uint8_t tag_byte, bytes_view content) {
-  return encode([&](writer& w) { w.tlv(tag_byte, content); });
-}
-
-bytes sequence(std::initializer_list<bytes_view> elements) {
-  return encode([&](writer& w) {
-    w.sequence([&] {
-      for (const bytes_view e : elements) {
-        w.raw(e);
-      }
-    });
-  });
-}
-
-bytes set(std::initializer_list<bytes_view> elements) {
-  return encode([&](writer& w) {
-    w.set([&] {
-      for (const bytes_view e : elements) {
-        w.raw(e);
-      }
-    });
-  });
-}
-
-bytes context(unsigned n, bytes_view content, bool constructed) {
-  const std::uint8_t tag_byte = context_tag(n, constructed);
-  return encode([&](writer& w) {
-    if (constructed) {
-      w.nested(tag_byte, [&] { w.raw(content); });
-    } else {
-      w.tlv(tag_byte, content);
-    }
-  });
-}
-
-bytes encode_integer(std::int64_t v) {
-  return encode([&](writer& w) { w.integer(v); });
-}
-
-bytes encode_big_integer(bytes_view magnitude) {
-  return encode([&](writer& w) { w.big_integer(magnitude); });
-}
-
 bytes encode_oid(const oid& arcs) {
   bytes content;
   detail::for_each_oid_octet(arcs,
                              [&](std::uint8_t b) { content.push_back(b); });
-  return wrap(tag::object_identifier, content);
-}
-
-bytes encode_bit_string(bytes_view data, std::uint8_t unused_bits) {
-  return encode([&](writer& w) { w.bit_string(data, unused_bits); });
-}
-
-bytes encode_octet_string(bytes_view data) {
-  return encode([&](writer& w) { w.octet_string(data); });
-}
-
-bytes encode_boolean(bool v) {
-  return encode([&](writer& w) { w.boolean(v); });
-}
-
-bytes encode_null() {
-  return encode([](writer& w) { w.null(); });
-}
-
-bytes encode_printable_string(std::string_view s) {
-  return encode([&](writer& w) { w.printable_string(s); });
-}
-
-bytes encode_utf8_string(std::string_view s) {
-  return encode([&](writer& w) { w.utf8_string(s); });
-}
-
-bytes encode_ia5_string(std::string_view s) {
-  return encode([&](writer& w) { w.ia5_string(s); });
-}
-
-bytes encode_utc_time(std::string_view s) {
-  return encode([&](writer& w) { w.utc_time(s); });
+  return encode([&](writer& w) { w.tlv(tag::object_identifier, content); });
 }
 
 tlv read_tlv(buffer_reader& r) {

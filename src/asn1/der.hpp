@@ -211,33 +211,10 @@ template <typename Body>
   return out;
 }
 
-// One-TLV encodings, each a thin wrapper over the writer.
-
-/// The definite-length header for `length` content bytes.
-[[nodiscard]] bytes encode_header(std::uint8_t tag_byte, std::size_t length);
-/// Wraps `content` in a primitive TLV with the given tag byte.
-[[nodiscard]] bytes wrap(std::uint8_t tag_byte, bytes_view content);
-/// SEQUENCE / SET of pre-encoded elements.
-[[nodiscard]] bytes sequence(std::initializer_list<bytes_view> elements);
-[[nodiscard]] bytes set(std::initializer_list<bytes_view> elements);
-/// Context-specific tag [n] around `content`; constructed if
-/// `constructed`.
-[[nodiscard]] bytes context(unsigned n, bytes_view content,
-                            bool constructed = true);
-[[nodiscard]] bytes encode_integer(std::int64_t v);
-[[nodiscard]] bytes encode_big_integer(bytes_view magnitude);
-/// OBJECT IDENTIFIER from arcs. Throws codec_error on fewer than two
-/// arcs or first-arc constraints violated.
+/// OBJECT IDENTIFIER TLV from arcs known only at run time (the
+/// counterpart of decode_oid; constants are object_ids). Throws
+/// codec_error on fewer than two arcs or first-arc constraints violated.
 [[nodiscard]] bytes encode_oid(const oid& arcs);
-[[nodiscard]] bytes encode_bit_string(bytes_view data,
-                                      std::uint8_t unused_bits = 0);
-[[nodiscard]] bytes encode_octet_string(bytes_view data);
-[[nodiscard]] bytes encode_boolean(bool v);
-[[nodiscard]] bytes encode_null();
-[[nodiscard]] bytes encode_printable_string(std::string_view s);
-[[nodiscard]] bytes encode_utf8_string(std::string_view s);
-[[nodiscard]] bytes encode_ia5_string(std::string_view s);
-[[nodiscard]] bytes encode_utc_time(std::string_view s);
 
 /// A decoded TLV element; `content` views into the reader's buffer.
 struct tlv {

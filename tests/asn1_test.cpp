@@ -11,22 +11,12 @@
 namespace certquic::asn1 {
 namespace {
 
-bytes_view view(const bytes& b) { return b; }
-
-TEST(DerHeader, ShortForm) {
-  const bytes h = encode_header(0x30, 0x7f);
-  const bytes expected = {0x30, 0x7f};
-  EXPECT_EQ(h, expected);
+bytes integer_der(std::int64_t v) {
+  return encode([&](writer& w) { w.integer(v); });
 }
 
-TEST(DerHeader, LongForm) {
-  const bytes one = encode_header(0x30, 0x80);
-  const bytes expected_one = {0x30, 0x81, 0x80};
-  EXPECT_EQ(one, expected_one);
-
-  const bytes two = encode_header(0x30, 0x1234);
-  const bytes expected_two = {0x30, 0x82, 0x12, 0x34};
-  EXPECT_EQ(two, expected_two);
+bytes big_integer_der(bytes_view magnitude) {
+  return encode([&](writer& w) { w.big_integer(magnitude); });
 }
 
 // Every length-form boundary of the definite-length header: short form
@@ -73,38 +63,49 @@ const std::vector<length_boundary>& length_boundaries() {
   return ::testing::AssertionSuccess();
 }
 
+// Primitive TLVs write their header first; nested ones (sequence, set,
+// context) are back-patched when they close. Both must produce the
+// minimal definite-length form at every boundary.
 TEST(DerHeader, ExactBytesAtEveryLengthFormBoundary) {
   bytes content;
   for (const auto& [length, octets] : length_boundaries()) {
     content.assign(length, 0x5a);
-    EXPECT_TRUE(is_tlv(encode_header(0x30, length), 0x30, octets, {}))
-        << "encode_header, length " << length;
-    EXPECT_TRUE(is_tlv(wrap(tag::octet_string, content), 0x04, octets,
-                       content))
-        << "wrap, length " << length;
-    EXPECT_TRUE(is_tlv(sequence({view(content)}), 0x30, octets, content))
+    EXPECT_TRUE(is_tlv(encode([&](writer& w) {
+                         w.tlv(tag::octet_string, content);
+                       }),
+                       0x04, octets, content))
+        << "tlv, length " << length;
+    EXPECT_TRUE(is_tlv(encode([&](writer& w) {
+                         w.sequence([&] { w.raw(content); });
+                       }),
+                       0x30, octets, content))
         << "sequence, length " << length;
-    EXPECT_TRUE(is_tlv(set({view(content)}), 0x31, octets, content))
+    EXPECT_TRUE(is_tlv(encode([&](writer& w) {
+                         w.set([&] { w.raw(content); });
+                       }),
+                       0x31, octets, content))
         << "set, length " << length;
-    EXPECT_TRUE(is_tlv(context(3, content), 0xa3, octets, content))
+    EXPECT_TRUE(is_tlv(encode([&](writer& w) {
+                         w.context(3, [&] { w.raw(content); });
+                       }),
+                       0xa3, octets, content))
         << "context, length " << length;
-    EXPECT_TRUE(is_tlv(context(3, content, /*constructed=*/false), 0x83,
-                       octets, content))
-        << "primitive context, length " << length;
+    EXPECT_TRUE(is_tlv(encode([&](writer& w) { w.implicit(3, content); }),
+                       0x83, octets, content))
+        << "implicit, length " << length;
   }
 }
 
 // A nested TLV is back-patched when it closes: at every length-form
 // boundary of the inner content, SET { SEQUENCE { content } } must be
-// byte-identical to headers computed up front.
+// byte-identical to the same TLVs written header first.
 TEST(DerWriter, BackPatchesNestedLengthsAtEveryBoundary) {
   bytes content;
   for (const auto& [length, octets] : length_boundaries()) {
     content.assign(length, 0x5a);
-    bytes inner = encode_header(0x30, length);
-    inner.insert(inner.end(), content.begin(), content.end());
-    bytes expected = encode_header(0x31, inner.size());
-    expected.insert(expected.end(), inner.begin(), inner.end());
+    const bytes inner =
+        encode([&](writer& w) { w.tlv(tag::sequence, content); });
+    const bytes expected = encode([&](writer& w) { w.tlv(tag::set, inner); });
 
     bytes out = {0xee};  // the writer appends after what is there
     writer w{out};
@@ -143,15 +144,18 @@ TEST(DerWriter, EncodeIsExactAndNests) {
       w.octet_string(bytes(300, 0x11));
     });
   });
-  EXPECT_EQ(outer, sequence({view(encode_integer(5)),
-                             view(encode_octet_string(bytes(300, 0x11)))}));
+  // SEQUENCE (307 octets) { INTEGER 5, OCTET STRING (300 octets) }.
+  bytes expected = {0x30, 0x82, 0x01, 0x33, 0x02, 0x01,
+                    0x05, 0x04, 0x82, 0x01, 0x2c};
+  expected.insert(expected.end(), 300, 0x11);
+  EXPECT_EQ(outer, expected);
   EXPECT_EQ(outer.capacity(), outer.size());
   // A body that throws leaves later encodes intact.
   EXPECT_THROW((void)encode([](writer& w) {
                  w.sequence([&] { w.utc_time("bad"); });
                }),
                codec_error);
-  EXPECT_EQ(encode([](writer& w) { w.null(); }), encode_null());
+  EXPECT_EQ(encode([](writer& w) { w.null(); }), (bytes{0x05, 0x00}));
 }
 
 TEST(DerObjectId, PackedAtCompileTimeLikeEncodeOid) {
@@ -169,30 +173,28 @@ TEST(DerObjectId, PackedAtCompileTimeLikeEncodeOid) {
 
 TEST(DerInteger, KnownEncodings) {
   // Canonical two's-complement minimal forms.
-  EXPECT_EQ(encode_integer(0), (bytes{0x02, 0x01, 0x00}));
-  EXPECT_EQ(encode_integer(127), (bytes{0x02, 0x01, 0x7f}));
-  EXPECT_EQ(encode_integer(128), (bytes{0x02, 0x02, 0x00, 0x80}));
-  EXPECT_EQ(encode_integer(256), (bytes{0x02, 0x02, 0x01, 0x00}));
-  EXPECT_EQ(encode_integer(-1), (bytes{0x02, 0x01, 0xff}));
-  EXPECT_EQ(encode_integer(-128), (bytes{0x02, 0x01, 0x80}));
-  EXPECT_EQ(encode_integer(-129), (bytes{0x02, 0x02, 0xff, 0x7f}));
-  EXPECT_EQ(encode_integer(65537), (bytes{0x02, 0x03, 0x01, 0x00, 0x01}));
+  EXPECT_EQ(integer_der(0), (bytes{0x02, 0x01, 0x00}));
+  EXPECT_EQ(integer_der(127), (bytes{0x02, 0x01, 0x7f}));
+  EXPECT_EQ(integer_der(128), (bytes{0x02, 0x02, 0x00, 0x80}));
+  EXPECT_EQ(integer_der(256), (bytes{0x02, 0x02, 0x01, 0x00}));
+  EXPECT_EQ(integer_der(-1), (bytes{0x02, 0x01, 0xff}));
+  EXPECT_EQ(integer_der(-128), (bytes{0x02, 0x01, 0x80}));
+  EXPECT_EQ(integer_der(-129), (bytes{0x02, 0x02, 0xff, 0x7f}));
+  EXPECT_EQ(integer_der(65537), (bytes{0x02, 0x03, 0x01, 0x00, 0x01}));
 }
 
 TEST(DerBigInteger, PrependsZeroForHighBit) {
   const bytes magnitude = {0x80, 0x01};
-  const bytes enc = encode_big_integer(magnitude);
-  EXPECT_EQ(enc, (bytes{0x02, 0x03, 0x00, 0x80, 0x01}));
+  EXPECT_EQ(big_integer_der(magnitude), (bytes{0x02, 0x03, 0x00, 0x80, 0x01}));
 }
 
 TEST(DerBigInteger, StripsRedundantLeadingZeros) {
   const bytes magnitude = {0x00, 0x00, 0x01, 0x02};
-  const bytes enc = encode_big_integer(magnitude);
-  EXPECT_EQ(enc, (bytes{0x02, 0x02, 0x01, 0x02}));
+  EXPECT_EQ(big_integer_der(magnitude), (bytes{0x02, 0x02, 0x01, 0x02}));
 }
 
 TEST(DerBigInteger, EmptyEncodesZero) {
-  EXPECT_EQ(encode_big_integer({}), (bytes{0x02, 0x01, 0x00}));
+  EXPECT_EQ(big_integer_der({}), (bytes{0x02, 0x01, 0x00}));
 }
 
 TEST(DerOid, KnownEncodings) {
@@ -216,44 +218,66 @@ TEST(DerOid, RejectsInvalidArcs) {
 
 TEST(DerBitString, PrependsUnusedBits) {
   const bytes data = {0xaa};
-  EXPECT_EQ(encode_bit_string(data), (bytes{0x03, 0x02, 0x00, 0xaa}));
-  EXPECT_EQ(encode_bit_string(data, 3), (bytes{0x03, 0x02, 0x03, 0xaa}));
-  EXPECT_THROW((void)encode_bit_string(data, 8), codec_error);
+  auto bit_string = [&](std::uint8_t unused_bits) {
+    return encode([&](writer& w) { w.bit_string(data, unused_bits); });
+  };
+  EXPECT_EQ(bit_string(0), (bytes{0x03, 0x02, 0x00, 0xaa}));
+  EXPECT_EQ(bit_string(3), (bytes{0x03, 0x02, 0x03, 0xaa}));
+  EXPECT_THROW((void)bit_string(8), codec_error);
 }
 
 TEST(DerPrimitives, BooleanNullStrings) {
-  EXPECT_EQ(encode_boolean(true), (bytes{0x01, 0x01, 0xff}));
-  EXPECT_EQ(encode_boolean(false), (bytes{0x01, 0x01, 0x00}));
-  EXPECT_EQ(encode_null(), (bytes{0x05, 0x00}));
-  EXPECT_EQ(encode_printable_string("US"), (bytes{0x13, 0x02, 'U', 'S'}));
-  EXPECT_EQ(encode_utf8_string("ab"), (bytes{0x0c, 0x02, 'a', 'b'}));
-  EXPECT_EQ(encode_ia5_string("x"), (bytes{0x16, 0x01, 'x'}));
+  EXPECT_EQ(encode([](writer& w) { w.boolean(true); }),
+            (bytes{0x01, 0x01, 0xff}));
+  EXPECT_EQ(encode([](writer& w) { w.boolean(false); }),
+            (bytes{0x01, 0x01, 0x00}));
+  EXPECT_EQ(encode([](writer& w) { w.null(); }), (bytes{0x05, 0x00}));
+  EXPECT_EQ(encode([](writer& w) { w.printable_string("US"); }),
+            (bytes{0x13, 0x02, 'U', 'S'}));
+  EXPECT_EQ(encode([](writer& w) { w.utf8_string("ab"); }),
+            (bytes{0x0c, 0x02, 'a', 'b'}));
+  EXPECT_EQ(encode([](writer& w) { w.ia5_string("x"); }),
+            (bytes{0x16, 0x01, 'x'}));
 }
 
 TEST(DerUtcTime, ValidatesShape) {
-  EXPECT_EQ(encode_utc_time("220910000000Z").size(), 15u);
-  EXPECT_THROW((void)encode_utc_time("2209100000Z"), codec_error);
-  EXPECT_THROW((void)encode_utc_time("2209100000000"), codec_error);
+  auto utc_time = [](std::string_view s) {
+    return encode([&](writer& w) { w.utc_time(s); });
+  };
+  EXPECT_EQ(utc_time("220910000000Z").size(), 15u);
+  EXPECT_THROW((void)utc_time("2209100000Z"), codec_error);
+  EXPECT_THROW((void)utc_time("2209100000000"), codec_error);
 }
 
 TEST(DerSequence, NestsAndMeasures) {
-  const bytes inner = encode_integer(5);
-  const bytes seq = sequence({view(inner), view(inner)});
+  const bytes inner = integer_der(5);
+  const bytes seq = encode([](writer& w) {
+    w.sequence([&] {
+      w.integer(5);
+      w.integer(5);
+    });
+  });
   EXPECT_EQ(seq.size(), 2 + 2 * inner.size());
   EXPECT_EQ(seq[0], 0x30);
 }
 
 TEST(DerContext, TagBytes) {
-  const bytes c0 = context(0, view(encode_integer(2)));
+  const bytes c0 =
+      encode([](writer& w) { w.context(0, [&] { w.integer(2); }); });
   EXPECT_EQ(c0[0], 0xa0);
-  const bytes c2 = context(2, {}, /*constructed=*/false);
+  const bytes c2 = encode([](writer& w) { w.implicit(2, bytes_view{}); });
   EXPECT_EQ(c2[0], 0x82);
-  EXPECT_THROW((void)context(31, {}), codec_error);
+  EXPECT_THROW((void)encode([](writer& w) { w.context(31, [] {}); }),
+               codec_error);
 }
 
 TEST(DerDecode, ReadTlvRoundTrip) {
-  const bytes seq = sequence({view(encode_integer(300)),
-                              view(encode_oid({2, 5, 4, 3}))});
+  const bytes seq = encode([](writer& w) {
+    w.sequence([&] {
+      w.integer(300);
+      w.raw(encode_oid({2, 5, 4, 3}));
+    });
+  });
   buffer_reader r{seq};
   const tlv outer = read_tlv(r);
   EXPECT_TRUE(outer.is(tag::sequence));
@@ -308,7 +332,7 @@ TEST_P(IntegerRoundTrip, EncodeDecode) {
   rng r{GetParam()};
   for (int i = 0; i < 500; ++i) {
     const auto v = static_cast<std::int64_t>(r.next());
-    const bytes enc = encode_integer(v);
+    const bytes enc = integer_der(v);
     buffer_reader reader{enc};
     EXPECT_EQ(decode_integer(read_tlv(reader)), v);
   }
@@ -348,7 +372,7 @@ TEST_P(HeaderRoundTrip, WrapUnwrap) {
   rng r{99};
   bytes payload(GetParam());
   r.fill(payload);
-  const bytes wrapped = wrap(tag::octet_string, payload);
+  const bytes wrapped = encode([&](writer& w) { w.octet_string(payload); });
   buffer_reader reader{wrapped};
   const tlv t = read_tlv(reader);
   EXPECT_TRUE(t.is(tag::octet_string));

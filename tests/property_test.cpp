@@ -161,7 +161,7 @@ TEST(FramesProperty, ParseMatchesByteLoopReference) {
 TEST(DerProperty, IntegerRoundTrip) {
   for_each_iteration([](rng& r, std::size_t i) {
     const std::int64_t v = test::gen_int64(r);
-    const bytes encoded = asn1::encode_integer(v);
+    const bytes encoded = asn1::encode([&](asn1::writer& w) { w.integer(v); });
     buffer_reader rd(encoded);
     const asn1::tlv t = asn1::read_tlv(rd);
     ASSERT_TRUE(t.is(asn1::tag::integer)) << "iteration " << i;
@@ -177,7 +177,7 @@ TEST(DerProperty, IntegerEdgeCases) {
                                 127,  -128,       128,
                                 -129, INT64_MAX,  INT64_MIN};
   for (const std::int64_t v : edges) {
-    const bytes encoded = asn1::encode_integer(v);
+    const bytes encoded = asn1::encode([&](asn1::writer& w) { w.integer(v); });
     buffer_reader rd(encoded);
     const asn1::tlv t = asn1::read_tlv(rd);
     ASSERT_TRUE(t.is(asn1::tag::integer)) << "v=" << v;
@@ -205,12 +205,12 @@ TEST(DerProperty, NestedSequenceRoundTrips) {
     const bytes blob = test::gen_bytes(r, 0, 300);
     const std::string text = test::gen_printable(r, 0, 200);
 
-    const bytes inner =
-        asn1::sequence({bytes_view(asn1::encode_printable_string(text))});
-    const bytes encoded = asn1::sequence({
-        bytes_view(asn1::encode_integer(num)),
-        bytes_view(asn1::encode_octet_string(blob)),
-        bytes_view(inner),
+    const bytes encoded = asn1::encode([&](asn1::writer& w) {
+      w.sequence([&] {
+        w.integer(num);
+        w.octet_string(blob);
+        w.sequence([&] { w.printable_string(text); });
+      });
     });
 
     buffer_reader rd(encoded);
@@ -232,7 +232,8 @@ TEST(DerProperty, NestedSequenceRoundTrips) {
 TEST(DerProperty, BigIntegerPreservesMagnitude) {
   for_each_iteration([](rng& r, std::size_t i) {
     bytes magnitude = test::gen_bytes(r, 1, 64);
-    const bytes encoded = asn1::encode_big_integer(magnitude);
+    const bytes encoded =
+        asn1::encode([&](asn1::writer& w) { w.big_integer(magnitude); });
     buffer_reader rd(encoded);
     const asn1::tlv t = asn1::read_tlv(rd);
     ASSERT_TRUE(t.is(asn1::tag::integer)) << "iteration " << i;
