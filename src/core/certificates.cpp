@@ -133,9 +133,9 @@ corpus_result analyze_corpus(const internet::model& m,
   engine::parallel_ordered(
       sample.size(), exec,
       [&](std::size_t i) {
-        return digest_chain(internet::fetch_chain(
-            m, opt.chains, m.records()[sample[i]],
-            internet::fetch_protocol::https, opt.profile));
+        return digest_chain(m.chain_of(m.records()[sample[i]],
+                                       internet::fetch_protocol::https,
+                                       opt.profile));
       },
       [&](std::size_t i, chain_digest&& chain) {
         const auto& rec = m.records()[sample[i]];

@@ -7,7 +7,6 @@
 #include <vector>
 
 #include "engine/engine.hpp"
-#include "internet/chain_cache.hpp"
 #include "internet/model.hpp"
 #include "stats/cdf.hpp"
 #include "stats/summary.hpp"
@@ -26,10 +25,6 @@ inline constexpr std::size_t kAlgClasses = 7;
 struct corpus_options {
   /// 0 = analyse every TLS service; otherwise a deterministic sample.
   std::size_t max_services = 0;
-  /// Optional shared materialization cache: combined drivers that also
-  /// run the compression study over the same TLS sample pass one cache
-  /// so each chain is issued exactly once across both studies.
-  const internet::chain_cache* chains = nullptr;
   /// Chain profile the corpus is materialized under (the PQC what-if
   /// switch); `classical` reproduces every published number.
   x509::pq_profile profile = x509::pq_profile::classical;

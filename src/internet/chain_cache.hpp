@@ -2,8 +2,7 @@
 // protocol, chain profile). Chain materialization — synthetic issuance
 // plus DER encoding — is the hot path of repeat-visit plans (the tuner
 // probes every service twice, multi-variant sweeps probe it once per
-// variant, the PQC study visits every service once per profile) and of
-// combined corpus/compression drivers that walk the same TLS sample.
+// variant, the PQC study visits every service once per profile).
 // Since chain_of is a pure function of the key, concurrent misses may
 // race to materialize the same chain; every racer produces identical
 // bytes, so the first insert wins and all callers observe the same
@@ -34,8 +33,6 @@ class chain_cache {
       const service_record& rec, fetch_protocol proto,
       x509::pq_profile pq = x509::pq_profile::classical) const;
 
-  [[nodiscard]] const model& population() const noexcept { return model_; }
-
   /// Distinct chains held.
   [[nodiscard]] std::size_t size() const;
   /// Lookups served from the cache / materializations performed.
@@ -51,16 +48,5 @@ class chain_cache {
   mutable std::atomic<std::size_t> hits_{0};
   mutable std::atomic<std::size_t> misses_{0};
 };
-
-/// Cache-aware fetch shared by every chain consumer: goes through
-/// `cache` when one is provided, else materializes directly. Keeps the
-/// optional-cache dispatch in one place.
-[[nodiscard]] inline x509::chain fetch_chain(
-    const model& m, const chain_cache* cache, const service_record& rec,
-    fetch_protocol proto,
-    x509::pq_profile pq = x509::pq_profile::classical) {
-  return cache != nullptr ? *cache->chain_of(rec, proto, pq)
-                          : m.chain_of(rec, proto, pq);
-}
 
 }  // namespace certquic::internet

@@ -32,11 +32,12 @@ probe_result reach::probe(const internet::service_record& rec,
   to_client.one_way_delay = opt.network.rtt - opt.network.rtt / 2;
   sim.set_path_to(client_ep, to_client);
 
+  constexpr auto proto = internet::fetch_protocol::quic;
   quic::server srv{sim,
                    server_ep,
-                   internet::fetch_chain(model_, cache_, rec,
-                                         internet::fetch_protocol::quic,
-                                         opt.chain_profile),
+                   cache_ != nullptr
+                       ? *cache_->chain_of(rec, proto, opt.chain_profile)
+                       : model_.chain_of(rec, proto, opt.chain_profile),
                    model_.behavior_of(rec),
                    model_.compression_dictionary(),
                    seed ^ 0x5e4};
