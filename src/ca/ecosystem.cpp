@@ -12,7 +12,6 @@ using x509::certificate;
 using x509::certificate_spec;
 using x509::distinguished_name;
 using x509::key_algorithm;
-using x509::signature_algorithm;
 
 namespace {
 
@@ -21,12 +20,12 @@ namespace {
 enum class ca_style { root, legacy_root, intermediate };
 
 std::shared_ptr<const certificate> make_ca_cert(
-    rng& r, const distinguished_name& subject,
-    const distinguished_name& issuer, key_algorithm key,
-    key_algorithm issuer_key, ca_style style, const std::string& url_host) {
+    rng& r, distinguished_name subject, distinguished_name issuer,
+    key_algorithm key, key_algorithm issuer_key, ca_style style,
+    const std::string& url_host) {
   certificate_spec spec;
-  spec.subject = subject;
-  spec.issuer = issuer;
+  spec.subject = std::move(subject);
+  spec.issuer = std::move(issuer);
   spec.key_alg = key;
   spec.sig_alg = x509::signature_by(issuer_key);
   // CA certificates are long-lived.
@@ -49,7 +48,7 @@ std::shared_ptr<const certificate> make_ca_cert(
     spec.extensions.push_back(x509::make_crl_distribution_points(
         "http://crl." + url_host + "/root.crl"));
   }
-  return std::make_shared<const certificate>(std::move(spec), r);
+  return std::make_shared<const certificate>(spec, r);
 }
 
 /// The extensions every leaf opens with, in issuance (and rng draw)
@@ -84,7 +83,8 @@ std::shared_ptr<const certificate> make_pqc_twin(const certificate& parent,
                                                  rng& r) {
   const bool root = parent.self_signed();
   return make_ca_cert(
-      r, parent.subject(), parent.issuer(),
+      r, distinguished_name::from_der(parent.subject()),
+      distinguished_name::from_der(parent.issuer()),
       root ? key_algorithm::mldsa_87 : key_algorithm::mldsa_65,
       key_algorithm::mldsa_87, root ? ca_style::root : ca_style::intermediate,
       "pq.pki.example");
@@ -235,8 +235,7 @@ ecosystem ecosystem::make(std::uint64_t seed) {
                 .min_sans = 4,
                 .max_sans = 6,
                 .sct_count = 3,
-                .url_host = "cloudflaressl.com"},
-       .parents_pqc = {}});
+                .url_host = "cloudflaressl.com"}});
   // Fig. 7a rows 2 and 3: both serve R3 plus the DST-cross-signed ISRG
   // Root X1 (§4.2 calls this out as superfluous); they differ in the
   // leaf key algorithm.
@@ -250,8 +249,7 @@ ecosystem ecosystem::make(std::uint64_t seed) {
                 .max_sans = 2,
                 .sct_count = 2,
                 .lean_extensions = true,
-                .url_host = "r3.o.lencr.org"},
-       .parents_pqc = {}});
+                .url_host = "r3.o.lencr.org"}});
   add({.id = "le-r3-x1cross-ec",
        .display = "Let's Encrypt R3 + ISRG Root X1 (DST cross), ECDSA leaves",
        .parents = {le_r3, isrg_x1_cross},
@@ -262,8 +260,7 @@ ecosystem ecosystem::make(std::uint64_t seed) {
                 .max_sans = 3,
                 .sct_count = 2,
                 .lean_extensions = true,
-                .url_host = "r3.o.lencr.org"},
-       .parents_pqc = {}});
+                .url_host = "r3.o.lencr.org"}});
   add({.id = "le-r3",
        .display = "Let's Encrypt R3",
        .parents = {le_r3},
@@ -275,8 +272,7 @@ ecosystem ecosystem::make(std::uint64_t seed) {
                 .max_sans = 3,
                 .sct_count = 2,
                 .lean_extensions = true,
-                .url_host = "r3.o.lencr.org"},
-       .parents_pqc = {}});
+                .url_host = "r3.o.lencr.org"}});
   add({.id = "le-e1-x2",
        .display = "Let's Encrypt E1 + ISRG Root X2",
        .parents = {le_e1, isrg_x2_self},
@@ -287,8 +283,7 @@ ecosystem ecosystem::make(std::uint64_t seed) {
                 .max_sans = 3,
                 .sct_count = 2,
                 .lean_extensions = true,
-                .url_host = "e1.o.lencr.org"},
-       .parents_pqc = {}});
+                .url_host = "e1.o.lencr.org"}});
   add({.id = "gts-1c3",
        .display = "GTS CA 1C3 + GTS Root R1",
        .parents = {gts_1c3, gts_r1_cross},
@@ -298,8 +293,7 @@ ecosystem ecosystem::make(std::uint64_t seed) {
                 .min_sans = 1,
                 .max_sans = 6,
                 .sct_count = 2,
-                .url_host = "pki.goog"},
-       .parents_pqc = {}});
+                .url_host = "pki.goog"}});
   add({.id = "le-r3-x1self",
        .display = "Let's Encrypt R3 + ISRG Root X1 (self-signed)",
        .parents = {le_r3, isrg_x1_self},
@@ -311,8 +305,7 @@ ecosystem ecosystem::make(std::uint64_t seed) {
                 .max_sans = 4,
                 .sct_count = 2,
                 .lean_extensions = true,
-                .url_host = "r3.o.lencr.org"},
-       .parents_pqc = {}});
+                .url_host = "r3.o.lencr.org"}});
   add({.id = "gts-1d4",
        .display = "GTS CA 1D4 + GTS Root R1",
        .parents = {gts_1d4, gts_r1_cross},
@@ -322,8 +315,7 @@ ecosystem ecosystem::make(std::uint64_t seed) {
                 .min_sans = 1,
                 .max_sans = 4,
                 .sct_count = 2,
-                .url_host = "pki.goog"},
-       .parents_pqc = {}});
+                .url_host = "pki.goog"}});
   add({.id = "sectigo",
        .display = "Sectigo RSA DV + USERTrust RSA CA",
        .parents = {sectigo_dv, usertrust_root},
@@ -333,8 +325,7 @@ ecosystem ecosystem::make(std::uint64_t seed) {
                 .min_sans = 1,
                 .max_sans = 3,
                 .sct_count = 2,
-                .url_host = "sectigo.com"},
-       .parents_pqc = {}});
+                .url_host = "sectigo.com"}});
   add({.id = "cpanel",
        .display = "cPanel, Inc. CA + COMODO RSA CA",
        .parents = {cpanel_ca, comodo_root},
@@ -344,8 +335,7 @@ ecosystem ecosystem::make(std::uint64_t seed) {
                 .min_sans = 2,
                 .max_sans = 8,
                 .sct_count = 3,
-                .url_host = "comodoca.com"},
-       .parents_pqc = {}});
+                .url_host = "comodoca.com"}});
   add({.id = "globalsign",
        .display = "GlobalSign Atlas R3 DV TLS CA H2 2021",
        .parents = {globalsign_atlas},
@@ -355,8 +345,7 @@ ecosystem ecosystem::make(std::uint64_t seed) {
                 .min_sans = 1,
                 .max_sans = 3,
                 .sct_count = 2,
-                .url_host = "globalsign.com"},
-       .parents_pqc = {}});
+                .url_host = "globalsign.com"}});
   // HTTPS-only rows absent from the QUIC top-10.
   add({.id = "digicert",
        .display = "DigiCert TLS RSA SHA256 2020 CA1 + DigiCert Global Root",
@@ -368,8 +357,7 @@ ecosystem ecosystem::make(std::uint64_t seed) {
                 .max_sans = 6,
                 .sct_count = 3,
                 .organization_validated = true,
-                .url_host = "digicert.com"},
-       .parents_pqc = {}});
+                .url_host = "digicert.com"}});
   add({.id = "amazon",
        .display = "Amazon RSA 2048 M01 + Amazon Root CA 1",
        .parents = {amazon_m01, amazon_root},
@@ -379,8 +367,7 @@ ecosystem ecosystem::make(std::uint64_t seed) {
                 .min_sans = 1,
                 .max_sans = 5,
                 .sct_count = 2,
-                .url_host = "amazontrust.com"},
-       .parents_pqc = {}});
+                .url_host = "amazontrust.com"}});
   add({.id = "comodo",
        .display = "cPanel, Inc. CA + COMODO RSA CA (legacy)",
        .parents = {cpanel_ca, comodo_root},
@@ -390,8 +377,7 @@ ecosystem ecosystem::make(std::uint64_t seed) {
                 .min_sans = 1,
                 .max_sans = 6,
                 .sct_count = 3,
-                .url_host = "comodoca.com"},
-       .parents_pqc = {}});
+                .url_host = "comodoca.com"}});
   add({.id = "godaddy",
        .display = "GoDaddy Secure CA - G2",
        .parents = {godaddy_g2},
@@ -401,8 +387,7 @@ ecosystem ecosystem::make(std::uint64_t seed) {
                 .min_sans = 1,
                 .max_sans = 4,
                 .sct_count = 2,
-                .url_host = "godaddy.com"},
-       .parents_pqc = {}});
+                .url_host = "godaddy.com"}});
   add({.id = "comodo-with-root",
        .display = "Sectigo RSA DV + USERTrust + COMODO root (superfluous anchor)",
        .parents = {sectigo_dv, usertrust_root, comodo_root},
@@ -412,8 +397,7 @@ ecosystem ecosystem::make(std::uint64_t seed) {
                 .min_sans = 1,
                 .max_sans = 4,
                 .sct_count = 3,
-                .url_host = "sectigo.com"},
-       .parents_pqc = {}});
+                .url_host = "sectigo.com"}});
 
   // ML-DSA twins of every distinct named parent, for pqc_full chains.
   // Drawn from a dedicated stream so the classical parents above — and
@@ -459,8 +443,10 @@ x509::chain ecosystem::issue(const chain_profile& profile,
                             : profile.parents;
   const leaf_profile& lp = profile.leaf;
   certificate_spec spec;
-  spec.issuer = parents.empty() ? distinguished_name::cn("Unknown Issuer")
-                                : parents.front()->subject();
+  spec.issuer =
+      parents.empty()
+          ? distinguished_name::cn("Unknown Issuer")
+          : distinguished_name::from_der(parents.front()->subject());
   spec.subject = distinguished_name::cn(domain);
   // The classical key draw is consumed under every profile so a
   // record's chain keeps its structure (SANs, SCT count) across the
@@ -498,7 +484,7 @@ x509::chain ecosystem::issue(const chain_profile& profile,
   const std::size_t scts =
       lp.sct_count > 1 && r.chance(0.5) ? lp.sct_count - 1 : lp.sct_count;
   exts.push_back(x509::make_sct_list(scts, r));
-  certificate leaf{std::move(spec), r};
+  certificate leaf{spec, r};
   return x509::chain{std::move(leaf), parents};
 }
 
@@ -542,8 +528,6 @@ x509::chain ecosystem::issue_other(const std::string& domain, rng& r,
     depth = d < 0.55 ? 1 : (d < 0.9 ? 2 : 3);
   }
 
-  std::vector<std::shared_ptr<const certificate>> parents;
-  distinguished_name child_issuer;
   // Build top-down: root first, then intermediates; serve leaf-first.
   distinguished_name above = distinguished_name::org(
       "US", ca_org + " Trust Services", ca_org + " Root CA");
@@ -555,10 +539,10 @@ x509::chain ecosystem::issue_other(const std::string& domain, rng& r,
     top_down.push_back(make_ca_cert(root_rng, above, above, above_key,
                                     above_key, ca_style::root, ca_host));
   }
-  distinguished_name parent_dn = above;
+  distinguished_name parent_dn = std::move(above);
   key_algorithm parent_key = above_key;
   for (std::size_t level = 0; level < depth; ++level) {
-    const auto dn = distinguished_name::org(
+    auto dn = distinguished_name::org(
         "US", ca_org + " Trust Services",
         ca_org + " CA " + std::to_string(level + 1));
     const key_algorithm key = pick_nonleaf(false);
@@ -590,16 +574,16 @@ x509::chain ecosystem::issue_other(const std::string& domain, rng& r,
                         level_rng.ascii_label(cps_len, cps_len + 200)),
           x509::make_sct_list(3 + level_rng.uniform(0, 5), level_rng),
       };
-      cert = std::make_shared<const certificate>(std::move(spec), level_rng);
+      cert = std::make_shared<const certificate>(spec, level_rng);
     }
     top_down.push_back(std::move(cert));
-    parent_dn = dn;
+    parent_dn = std::move(dn);
     parent_key = key;
   }
-  child_issuer = parent_dn;
 
   // Serve leaf-first order: reverse of construction.
-  parents.assign(top_down.rbegin(), top_down.rend());
+  std::vector<std::shared_ptr<const certificate>> parents(top_down.rbegin(),
+                                                          top_down.rend());
 
   // Leaf algorithm, Table 2 leaf mixes: QUIC {19.2, 1.4, 78.9, 0.5}%;
   // HTTPS-only {81.4, 8.1, 7.8, 1.9}% (residuals folded into EC384).
@@ -612,7 +596,7 @@ x509::chain ecosystem::issue_other(const std::string& domain, rng& r,
   }
 
   certificate_spec spec;
-  spec.issuer = child_issuer;
+  spec.issuer = std::move(parent_dn);
   spec.subject = distinguished_name::cn(domain);
   spec.key_alg = leaf_key;
   spec.sig_alg = x509::signature_by(parent_key);
@@ -628,7 +612,7 @@ x509::chain ecosystem::issue_other(const std::string& domain, rng& r,
       "http://ocsp." + ca_host, "http://" + ca_host + "/ca.crt"));
   const std::size_t scts = 1 + r.uniform(0, 2);
   exts.push_back(x509::make_sct_list(scts, r));
-  certificate leaf{std::move(spec), r};
+  certificate leaf{spec, r};
   return x509::chain{std::move(leaf), std::move(parents)};
 }
 
@@ -639,7 +623,7 @@ x509::chain ecosystem::issue_cruise_liner(const std::string& domain,
   const auto& parents =
       pq == x509::pq_profile::pqc_full ? base.parents_pqc : base.parents;
   certificate_spec spec;
-  spec.issuer = parents.front()->subject();
+  spec.issuer = distinguished_name::from_der(parents.front()->subject());
   spec.subject = distinguished_name::cn(domain);
   spec.key_alg = pq == x509::pq_profile::classical ? key_algorithm::rsa_2048
                                                    : key_algorithm::mldsa_44;
@@ -656,7 +640,7 @@ x509::chain ecosystem::issue_cruise_liner(const std::string& domain,
   exts.push_back(
       x509::make_certificate_policies(false, "http://comodoca.com/cps"));
   exts.push_back(x509::make_sct_list(3, r));
-  certificate leaf{std::move(spec), r};
+  certificate leaf{spec, r};
   return x509::chain{std::move(leaf), parents};
 }
 

@@ -54,7 +54,7 @@ struct chain_profile {
   /// from a dedicated rng stream, so the classical parents — and every
   /// golden figure derived from them — are byte-identical with or
   /// without the PQC axis.
-  std::vector<std::shared_ptr<const x509::certificate>> parents_pqc;
+  std::vector<std::shared_ptr<const x509::certificate>> parents_pqc{};
 
   /// Sum of parent DER sizes (the white boxes of Fig. 7).
   [[nodiscard]] std::size_t parent_wire_size() const;

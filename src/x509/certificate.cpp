@@ -1,12 +1,14 @@
 #include "x509/certificate.hpp"
 
+#include <algorithm>
+
 #include "asn1/der.hpp"
 #include "x509/oids.hpp"
 
 namespace certquic::x509 {
 
-certificate::certificate(certificate_spec spec, rng& r)
-    : spec_(std::move(spec)) {
+certificate::certificate(const certificate_spec& spec, rng& r)
+    : key_alg_(spec.key_alg) {
   // Random positive 16-byte serial, as issued by modern public CAs.
   r.fill(serial_);
   serial_[0] &= 0x7f;
@@ -22,19 +24,19 @@ certificate::certificate(certificate_spec spec, rng& r)
       w.sequence([&] {  // TBSCertificate
         w.context(0, [&] { w.integer(2); });  // v3
         w.big_integer(serial_);
-        encode_signature_algorithm(w, spec_.sig_alg);
-        sizes_.issuer = measured(w, [&] { spec_.issuer.encode(w); });
+        encode_signature_algorithm(w, spec.sig_alg);
+        sizes_.issuer = measured(w, [&] { spec.issuer.encode(w); });
         w.sequence([&] {
-          w.utc_time(spec_.valid.not_before);
-          w.utc_time(spec_.valid.not_after);
+          w.utc_time(spec.valid.not_before);
+          w.utc_time(spec.valid.not_after);
         });
-        sizes_.subject = measured(w, [&] { spec_.subject.encode(w); });
+        sizes_.subject = measured(w, [&] { spec.subject.encode(w); });
         sizes_.public_key_info =
-            measured(w, [&] { encode_spki(w, spec_.key_alg, r); });
+            measured(w, [&] { encode_spki(w, spec.key_alg, r); });
         w.context(3, [&] {
           sizes_.extensions = measured(w, [&] {
             w.sequence([&] {
-              for (const auto& ext : spec_.extensions) {
+              for (const auto& ext : spec.extensions) {
                 const std::size_t size = measured(w, [&] { ext.encode(w); });
                 if (ext.id == oids::subject_alt_name) {
                   san_bytes_ += size;
@@ -49,26 +51,58 @@ certificate::certificate(certificate_spec spec, rng& r)
           });
         });
       });
-      encode_signature_algorithm(w, spec_.sig_alg);
+      encode_signature_algorithm(w, spec.sig_alg);
       sizes_.signature = measured(
-          w, [&] { encode_signature_value(w, spec_.sig_alg, r); });
+          w, [&] { encode_signature_value(w, spec.sig_alg, r); });
     });
   });
   sizes_.total = der_.size();
+
+  // Locate the Names and the SAN value in the finished DER: the writer
+  // shifts content right as it back-patches each enclosing length, so
+  // offsets seen while writing are not final.
+  buffer_reader outer{der_};
+  buffer_reader cert{asn1::read_tlv(outer).content};
+  buffer_reader tbs{asn1::read_tlv(cert).content};
+  // Offset of an element of `size` bytes that ends where `t` ends.
+  auto start_of = [this](const asn1::tlv& t, std::size_t size) {
+    return static_cast<std::uint32_t>(t.content.data() + t.content.size() -
+                                      der_.data() - size);
+  };
+  for (int i = 0; i < 3; ++i) {  // version, serialNumber, signature
+    (void)asn1::read_tlv(tbs);
+  }
+  issuer_offset_ = start_of(asn1::read_tlv(tbs), sizes_.issuer);
+  (void)asn1::read_tlv(tbs);  // validity
+  subject_offset_ = start_of(asn1::read_tlv(tbs), sizes_.subject);
+  (void)asn1::read_tlv(tbs);  // subjectPublicKeyInfo
+  buffer_reader tagged{asn1::read_tlv(tbs).content};  // [3]
+  buffer_reader extensions{asn1::read_tlv(tagged).content};
+  while (!extensions.empty()) {
+    buffer_reader ext{asn1::read_tlv(extensions).content};
+    if (std::ranges::equal(asn1::read_tlv(ext).content,
+                           oids::subject_alt_name.content())) {
+      asn1::tlv value = asn1::read_tlv(ext);  // critical, or extnValue
+      if (!ext.empty()) {
+        value = asn1::read_tlv(ext);
+      }
+      san_offset_ = start_of(value, value.content.size());
+      san_size_ = static_cast<std::uint32_t>(value.content.size());
+    }
+  }
 }
 
 std::vector<std::string> certificate::subject_alt_names() const {
-  for (const auto& ext : spec_.extensions) {
-    if (ext.id == oids::subject_alt_name) {
-      return parse_subject_alt_name(ext);
-    }
+  if (san_size_ == 0) {
+    return {};
   }
-  return {};
+  return parse_subject_alt_name(
+      bytes_view{der_}.subspan(san_offset_, san_size_));
 }
 
 std::string certificate::describe() const {
-  return spec_.subject.to_string() + " (" + to_string(spec_.key_alg) + ", " +
-         std::to_string(der_.size()) + "B)";
+  return distinguished_name::from_der(subject()).to_string() + " (" +
+         to_string(key_alg_) + ", " + std::to_string(der_.size()) + "B)";
 }
 
 }  // namespace certquic::x509

@@ -2,6 +2,7 @@
 // size accounting (the measurement basis for Figs. 2b, 6, 7, 8 and 14).
 #pragma once
 
+#include <algorithm>
 #include <array>
 #include <cstdint>
 #include <string>
@@ -42,7 +43,8 @@ struct field_sizes {
 /// A certificate serial number: 16 random octets, top bit clear.
 using serial_number = std::array<std::uint8_t, 16>;
 
-/// Semantic description of a certificate to build.
+/// Semantic description of a certificate to build; read once by the
+/// certificate constructor.
 struct certificate_spec {
   distinguished_name issuer;
   distinguished_name subject;
@@ -52,27 +54,25 @@ struct certificate_spec {
   std::vector<extension> extensions;
 };
 
-/// An immutable certificate: constructed once, DER-encoded eagerly,
-/// size breakdown cached.
+/// An immutable certificate: its DER plus fixed-size facts derived
+/// while encoding. Names and the SAN list are read back from the DER.
 class certificate {
  public:
   /// Synthesizes serial, key material and signature from `r` (in that
   /// order), encodes the certificate in one pass and records the field
-  /// sizes. The DER buffer's capacity is exactly its size.
-  certificate(certificate_spec spec, rng& r);
+  /// sizes. The DER buffer's capacity is exactly its size; `spec` is not
+  /// retained.
+  certificate(const certificate_spec& spec, rng& r);
 
-  [[nodiscard]] const distinguished_name& issuer() const noexcept {
-    return spec_.issuer;
+  /// The encoded issuer Name (an RDNSequence inside der()).
+  [[nodiscard]] bytes_view issuer() const noexcept {
+    return bytes_view{der_}.subspan(issuer_offset_, sizes_.issuer);
   }
-  [[nodiscard]] const distinguished_name& subject() const noexcept {
-    return spec_.subject;
+  /// The encoded subject Name (an RDNSequence inside der()).
+  [[nodiscard]] bytes_view subject() const noexcept {
+    return bytes_view{der_}.subspan(subject_offset_, sizes_.subject);
   }
-  [[nodiscard]] key_algorithm key_alg() const noexcept {
-    return spec_.key_alg;
-  }
-  [[nodiscard]] signature_algorithm sig_alg() const noexcept {
-    return spec_.sig_alg;
-  }
+  [[nodiscard]] key_algorithm key_alg() const noexcept { return key_alg_; }
   [[nodiscard]] const serial_number& serial() const noexcept {
     return serial_;
   }
@@ -88,10 +88,10 @@ class certificate {
   [[nodiscard]] bool is_ca() const noexcept { return is_ca_; }
   /// True when issuer == subject.
   [[nodiscard]] bool self_signed() const noexcept {
-    return spec_.issuer == spec_.subject;
+    return std::ranges::equal(issuer(), subject());
   }
 
-  /// DNS names in subjectAltName ({} when absent).
+  /// DNS names in subjectAltName ({} when absent), decoded from der().
   [[nodiscard]] std::vector<std::string> subject_alt_names() const;
   /// Encoded size of the subjectAltName extension (0 when absent);
   /// numerator of the Fig. 14 SAN byte share.
@@ -101,12 +101,18 @@ class certificate {
   [[nodiscard]] std::string describe() const;
 
  private:
-  certificate_spec spec_;
-  serial_number serial_{};
   bytes der_;
   field_sizes sizes_;
-  bool is_ca_ = false;
   std::size_t san_bytes_ = 0;
+  serial_number serial_{};
+  // Offsets into der_ of the subject and issuer Names (their sizes are
+  // sizes_.subject / sizes_.issuer) and of the SAN extnValue contents.
+  std::uint32_t subject_offset_ = 0;
+  std::uint32_t issuer_offset_ = 0;
+  std::uint32_t san_offset_ = 0;
+  std::uint32_t san_size_ = 0;
+  key_algorithm key_alg_ = key_algorithm::ecdsa_p256;
+  bool is_ca_ = false;
 };
 
 }  // namespace certquic::x509

@@ -16,11 +16,7 @@ const certificate& chain::leaf() const {
 }
 
 std::size_t chain::wire_size() const noexcept {
-  std::size_t total = leaf_ ? leaf_->size() : 0;
-  for (const auto& parent : parents_) {
-    total += parent->size();
-  }
-  return total;
+  return (leaf_ ? leaf_->size() : 0) + parent_wire_size();
 }
 
 std::size_t chain::parent_wire_size() const noexcept {

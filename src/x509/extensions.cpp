@@ -196,12 +196,12 @@ extension make_sct_list(std::size_t count, rng& r) {
           })};
 }
 
-std::vector<std::string> parse_subject_alt_name(const extension& ext) {
-  if (ext.id != oids::subject_alt_name) {
-    throw codec_error("extension is not subjectAltName");
-  }
-  buffer_reader r{ext.value};
+std::vector<std::string> parse_subject_alt_name(bytes_view value) {
+  buffer_reader r{value};
   const asn1::tlv outer = asn1::read_tlv(r);
+  if (!outer.is(asn1::tag::sequence)) {
+    throw codec_error("subjectAltName is not a SEQUENCE");
+  }
   std::vector<std::string> names;
   for (const auto& child : asn1::children(outer)) {
     if (child.tag_byte == 0x82) {  // [2] IMPLICIT dNSName

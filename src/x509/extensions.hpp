@@ -66,10 +66,10 @@ struct extension {
 /// public CAs typically embed 2-3.
 [[nodiscard]] extension make_sct_list(std::size_t count, rng& r);
 
-/// Parses the dns names back out of a subjectAltName value (used by
-/// tests and by the SAN-share analysis of Fig. 14).
+/// Parses the dns names back out of a subjectAltName extnValue (the
+/// GeneralNames SEQUENCE). Throws codec_error on malformed input.
 [[nodiscard]] std::vector<std::string> parse_subject_alt_name(
-    const extension& ext);
+    bytes_view value);
 
 /// The fixed 32-byte id of CT log `index % 8`; exposed so the
 /// compression-dictionary builder can include the well-known log ids.

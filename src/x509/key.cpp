@@ -126,11 +126,6 @@ void encode_mldsa_spki(asn1::writer& w, key_algorithm a, rng& r) {
 
 }  // namespace
 
-bool is_post_quantum(key_algorithm a) noexcept {
-  return a == key_algorithm::mldsa_44 || a == key_algorithm::mldsa_65 ||
-         a == key_algorithm::mldsa_87;
-}
-
 const std::array<pq_profile, 3>& all_pq_profiles() noexcept {
   static const std::array<pq_profile, 3> profiles = {
       pq_profile::classical, pq_profile::pqc_leaf, pq_profile::pqc_full};
@@ -176,26 +171,6 @@ std::string to_string(key_algorithm a) {
       return "ML-DSA-87";
   }
   throw config_error("unknown key_algorithm");
-}
-
-std::string to_string(signature_algorithm a) {
-  switch (a) {
-    case signature_algorithm::sha256_rsa_2048:
-      return "sha256WithRSA(2048)";
-    case signature_algorithm::sha256_rsa_4096:
-      return "sha256WithRSA(4096)";
-    case signature_algorithm::ecdsa_sha256:
-      return "ecdsa-with-SHA256";
-    case signature_algorithm::ecdsa_sha384:
-      return "ecdsa-with-SHA384";
-    case signature_algorithm::mldsa_44:
-      return "ML-DSA-44";
-    case signature_algorithm::mldsa_65:
-      return "ML-DSA-65";
-    case signature_algorithm::mldsa_87:
-      return "ML-DSA-87";
-  }
-  throw config_error("unknown signature_algorithm");
 }
 
 signature_algorithm signature_by(key_algorithm issuer_key) {

@@ -41,9 +41,6 @@ enum class signature_algorithm {
   mldsa_87,         // ML-DSA-87: 4627-byte signature
 };
 
-/// True for the ML-DSA key classes.
-[[nodiscard]] bool is_post_quantum(key_algorithm a) noexcept;
-
 /// Which certificates of a served chain carry post-quantum material —
 /// the chain-profile sweep axis of the PQC what-if study. `classical`
 /// is the default everywhere and reproduces today's chains byte for
@@ -59,7 +56,6 @@ enum class pq_profile : std::uint8_t {
 
 /// Human-readable name, e.g. "RSA-2048" / "ECDSA-P256" / "ML-DSA-44".
 [[nodiscard]] std::string to_string(key_algorithm a);
-[[nodiscard]] std::string to_string(signature_algorithm a);
 /// Profile name as used on CLIs and in reports: "classical" /
 /// "pqc_leaf" / "pqc_full".
 [[nodiscard]] std::string to_string(pq_profile p);

@@ -1,13 +1,30 @@
 // Unit tests for the CA ecosystem model.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <set>
+#include <utility>
+#include <vector>
 
 #include "ca/ecosystem.hpp"
 #include "util/errors.hpp"
 
 namespace certquic::ca {
 namespace {
+
+// Positions i at which certificate i's issuer Name is not certificate
+// i+1's subject Name, comparing DER bytes; the leaf is certificate 0.
+std::vector<std::size_t> broken_links(const x509::chain& chain) {
+  std::vector<const x509::certificate*> certs;
+  chain.for_each([&certs](const x509::certificate& c) { certs.push_back(&c); });
+  std::vector<std::size_t> broken;
+  for (std::size_t i = 0; i + 1 < certs.size(); ++i) {
+    if (!std::ranges::equal(certs[i]->issuer(), certs[i + 1]->subject())) {
+      broken.push_back(i);
+    }
+  }
+  return broken;
+}
 
 class EcosystemTest : public ::testing::Test {
  protected:
@@ -70,8 +87,12 @@ TEST_F(EcosystemTest, IssueProducesValidChain) {
   rng r{42};
   const auto chain = eco_.issue(eco_.profile("cloudflare"), "example.org", r);
   EXPECT_EQ(chain.depth(), 2u);
-  EXPECT_EQ(chain.leaf().subject().common_name(), "example.org");
-  EXPECT_EQ(chain.leaf().issuer().common_name(), "Cloudflare Inc ECC CA-3");
+  EXPECT_EQ(x509::distinguished_name::from_der(chain.leaf().subject())
+                .common_name(),
+            "example.org");
+  EXPECT_EQ(
+      x509::distinguished_name::from_der(chain.leaf().issuer()).common_name(),
+      "Cloudflare Inc ECC CA-3");
   EXPECT_FALSE(chain.leaf().is_ca());
   const auto sans = chain.leaf().subject_alt_names();
   ASSERT_GE(sans.size(), 1u);
@@ -101,6 +122,57 @@ TEST_F(EcosystemTest, SuperfluousAnchorRowIncludesTrustAnchor) {
   EXPECT_TRUE(chain.includes_trust_anchor());
   const auto clean = eco_.issue(eco_.profile("sectigo"), "ok.example", r);
   EXPECT_FALSE(clean.includes_trust_anchor());
+}
+
+// Every served chain links by name: each certificate's issuer is the
+// next one's subject, under every chain profile (the PQC twins keep
+// their classical counterparts' names). One row does not: as served by
+// Sectigo, USERTrust is cross-signed by "AAA Certificate Services",
+// which comodo-with-root never serves; the self-signed COMODO RSA root
+// follows instead, so that row's last link is broken.
+TEST_F(EcosystemTest, NamedProfileChainsLinkByName) {
+  for (const chain_profile& p : eco_.profiles()) {
+    for (const x509::pq_profile pq : x509::all_pq_profiles()) {
+      rng r{17};
+      const x509::chain chain = eco_.issue(p, "link.example", r, pq);
+      const std::vector<std::size_t> expected =
+          p.id == "comodo-with-root" ? std::vector<std::size_t>{2}
+                                     : std::vector<std::size_t>{};
+      EXPECT_EQ(broken_links(chain), expected)
+          << p.id << " " << x509::to_string(pq);
+    }
+  }
+}
+
+TEST_F(EcosystemTest, CruiseLinerChainsLinkByName) {
+  for (const x509::pq_profile pq : x509::all_pq_profiles()) {
+    rng r{18};
+    const x509::chain chain = eco_.issue_cruise_liner("ship.example", 40, r, pq);
+    EXPECT_EQ(chain.depth(), 3u);
+    EXPECT_TRUE(broken_links(chain).empty()) << x509::to_string(pq);
+  }
+}
+
+// The long tail builds its own hierarchy of 1-6 intermediates, with or
+// without the superfluous root; every (depth, anchor) pair must occur
+// and link by name.
+TEST_F(EcosystemTest, LongTailChainsLinkByName) {
+  std::set<std::pair<std::size_t, bool>> seen;
+  for (std::uint64_t seed = 0; seed < 40000 && seen.size() < 12; ++seed) {
+    rng r{seed};
+    const x509::chain chain = eco_.issue_other(
+        "tail.example", r,
+        {.quic_flavor = seed % 2 == 0,
+         .pq = x509::all_pq_profiles()[seed % 3]});
+    const bool anchor = chain.includes_trust_anchor();
+    seen.emplace(chain.parents().size() - (anchor ? 1 : 0), anchor);
+    ASSERT_TRUE(broken_links(chain).empty()) << "seed " << seed;
+  }
+  EXPECT_EQ(seen.size(), 12u);
+  for (std::size_t depth = 1; depth <= 6; ++depth) {
+    EXPECT_TRUE(seen.contains({depth, false})) << depth;
+    EXPECT_TRUE(seen.contains({depth, true})) << depth;
+  }
 }
 
 TEST_F(EcosystemTest, CrossSignVariantLargerThanPlainR3) {

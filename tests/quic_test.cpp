@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include "ca/ecosystem.hpp"
+#include "mutation.hpp"
 #include "net/simulator.hpp"
 #include "quic/behavior.hpp"
 #include "quic/client.hpp"
@@ -661,16 +662,12 @@ std::vector<bytes> probe_datagrams(const ca::ecosystem& eco,
 // True when `wire` parses or is rejected with codec_error; any other
 // exception is a decoder bug.
 bool parses_or_rejects(bytes_view wire) {
-  try {
+  return test::decodes_or_rejects([wire] {
     for (const auto& p : parse_datagram(wire)) {
       (void)p.wire_size();
       (void)account(p.frames);
     }
-  } catch (const codec_error&) {
-  } catch (...) {
-    return false;
-  }
-  return true;
+  });
 }
 
 // Mutation property over real probe traffic: every truncation, every
@@ -690,28 +687,9 @@ TEST(ParserMutation, ProbeDatagramsParseOrThrowCodecError) {
   ASSERT_GE(corpus.size(), 6u);
   rng r{0x6d75'7461'7465ULL};
   for (std::size_t n = 0; n < corpus.size(); ++n) {
-    const bytes& wire = corpus[n];
-    ASSERT_FALSE(parse_datagram(wire).empty()) << "datagram " << n;
-    for (std::size_t cut = 0; cut < wire.size(); ++cut) {
-      EXPECT_TRUE(parses_or_rejects(bytes_view{wire}.first(cut)))
-          << "datagram " << n << " cut at " << cut;
-    }
-    bytes flipped = wire;
-    for (std::size_t pos = 0; pos < wire.size(); ++pos) {
-      const auto mask = static_cast<std::uint8_t>(r.uniform(1, 255));
-      flipped[pos] ^= mask;
-      EXPECT_TRUE(parses_or_rejects(flipped))
-          << "datagram " << n << " byte " << pos << " ^ " << int{mask};
-      flipped[pos] ^= mask;
-    }
-    for (int round = 0; round < 16; ++round) {
-      bytes extended = wire;
-      bytes garbage(static_cast<std::size_t>(r.uniform(1, 64)));
-      r.fill(garbage);
-      append(extended, garbage);
-      EXPECT_TRUE(parses_or_rejects(extended))
-          << "datagram " << n << " garbage round " << round;
-    }
+    ASSERT_FALSE(parse_datagram(corpus[n]).empty()) << "datagram " << n;
+    SCOPED_TRACE("datagram " + std::to_string(n));
+    test::check_mutants(corpus[n], r, parses_or_rejects);
   }
 }
 

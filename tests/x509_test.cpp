@@ -1,7 +1,11 @@
 // Unit and property tests for the X.509 certificate model.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "asn1/der.hpp"
+#include "ca/ecosystem.hpp"
+#include "mutation.hpp"
 #include "util/rng.hpp"
 #include "x509/certificate.hpp"
 #include "x509/chain.hpp"
@@ -81,6 +85,34 @@ TEST(DistinguishedName, EqualityIsStructural) {
   EXPECT_FALSE(a == c);
 }
 
+TEST(DistinguishedName, FromDerIsTheSameName) {
+  const auto dn = distinguished_name::org("GB", "Sectigo Limited", "CA");
+  const auto copy = distinguished_name::from_der(dn.der());
+  EXPECT_TRUE(copy == dn);
+  EXPECT_EQ(copy.to_string(), "C=GB, O=Sectigo Limited, CN=CA");
+  EXPECT_EQ(copy.common_name(), "CA");
+}
+
+TEST(DistinguishedName, EmptyNameIsTheEmptyRdnSequence) {
+  const distinguished_name empty;
+  EXPECT_EQ(bytes(empty.der().begin(), empty.der().end()),
+            (bytes{0x30, 0x00}));
+  EXPECT_EQ(empty.to_string(), "");
+  EXPECT_EQ(empty.common_name(), "");
+  EXPECT_TRUE(empty == distinguished_name::from_der(bytes{0x30, 0x00}));
+}
+
+TEST(DistinguishedName, MalformedDerThrowsCodecError) {
+  // A SET where the RDNSequence belongs, a truncated RDN, and a
+  // trailing byte after the sequence.
+  for (const bytes& der : {bytes{0x31, 0x00}, bytes{0x30, 0x02, 0x31, 0x05},
+                           bytes{0x30, 0x00, 0x00}}) {
+    const auto dn = distinguished_name::from_der(der);
+    EXPECT_THROW((void)dn.to_string(), codec_error);
+    EXPECT_THROW((void)dn.common_name(), codec_error);
+  }
+}
+
 TEST(Key, SpkiSizesMatchRealWorld) {
   rng r{1};
   // Real-world DER sizes: RSA-2048 SPKI = 294 B, RSA-4096 = 550 B,
@@ -124,7 +156,8 @@ TEST(Extensions, SubjectAltNameRoundTrip) {
   const std::vector<std::string> names = {"a.example", "*.b.example",
                                           "c.example"};
   const extension ext = make_subject_alt_name(names);
-  EXPECT_EQ(parse_subject_alt_name(ext), names);
+  EXPECT_EQ(parse_subject_alt_name(ext.value), names);
+  EXPECT_THROW((void)parse_subject_alt_name(bytes{0x31, 0x00}), codec_error);
 }
 
 TEST(Extensions, SanSizeGrowsWithNames) {
@@ -203,6 +236,28 @@ TEST(Certificate, SanBytesTracked) {
   EXPECT_GT(leaf.san_bytes(), 0u);
   EXPECT_LT(leaf.san_bytes(), leaf.size());
   EXPECT_EQ(leaf.subject_alt_names().size(), 2u);
+}
+
+TEST(Certificate, NamesAndSansAreReadFromTheDer) {
+  rng r{14};
+  const certificate leaf = make_leaf(r);
+  const bytes_view der{leaf.der()};
+  const auto inside = [&der](bytes_view part) {
+    return part.data() >= der.data() &&
+           part.data() + part.size() <= der.data() + der.size();
+  };
+  EXPECT_TRUE(inside(leaf.subject()));
+  EXPECT_TRUE(inside(leaf.issuer()));
+  EXPECT_TRUE(std::ranges::equal(leaf.subject(),
+                                 distinguished_name::cn("example.org").der()));
+  EXPECT_TRUE(std::ranges::equal(
+      leaf.issuer(),
+      distinguished_name::org("US", "Example CA", "Example CA R1").der()));
+  EXPECT_EQ(leaf.subject_alt_names(),
+            (std::vector<std::string>{"example.org", "www.example.org"}));
+  EXPECT_EQ(leaf.describe().substr(0, 15), "CN=example.org ");
+  // A certificate without subjectAltName has no SAN list.
+  EXPECT_TRUE(make_ca(r, "No SAN CA").subject_alt_names().empty());
 }
 
 TEST(Certificate, CaAndSelfSignedDetection) {
@@ -307,6 +362,87 @@ INSTANTIATE_TEST_SUITE_P(
         AlgCase{key_algorithm::ecdsa_p256,
                 signature_algorithm::sha256_rsa_2048},
         AlgCase{key_algorithm::ecdsa_p384, signature_algorithm::ecdsa_sha384}));
+
+// Decodes every TLV of `t` recursively: constructed elements are split
+// into children, OBJECT IDENTIFIERs decoded.
+void walk_tlv(const asn1::tlv& t) {
+  if ((t.tag_byte & 0x20) != 0) {  // constructed
+    for (const asn1::tlv& child : asn1::children(t)) {
+      walk_tlv(child);
+    }
+  } else if (t.is(asn1::tag::object_identifier)) {
+    (void)asn1::decode_oid(t);
+  }
+}
+
+// The next element of `r`, which reads `within`, header included.
+bytes_view next_element(buffer_reader& r, bytes_view within) {
+  const std::size_t start = r.position();
+  (void)asn1::read_tlv(r);
+  return within.subspan(start, r.position() - start);
+}
+
+// Reads a certificate back the way the library does: every TLV walked,
+// then the issuer and subject Names rendered and the subjectAltName
+// parsed, each found by position and OID.
+void read_back(bytes_view der) {
+  buffer_reader outer{der};
+  const asn1::tlv cert = asn1::read_tlv(outer);
+  walk_tlv(cert);
+  buffer_reader cert_reader{cert.content};
+  const bytes_view tbs = asn1::read_tlv(cert_reader).content;
+  buffer_reader r{tbs};
+  for (int field = 0; field < 7; ++field) {
+    const bytes_view element = next_element(r, tbs);
+    if (field == 3 || field == 5) {  // issuer, subject
+      (void)distinguished_name::from_der(element).to_string();
+    }
+  }
+  buffer_reader tagged{asn1::read_tlv(r).content};  // [3] extensions
+  for (const asn1::tlv& ext : asn1::children(asn1::read_tlv(tagged))) {
+    const auto fields = asn1::children(ext);
+    if (!fields.empty() &&
+        std::ranges::equal(fields.front().content,
+                           oids::subject_alt_name.content())) {
+      (void)parse_subject_alt_name(fields.back().content);
+    }
+  }
+}
+
+// Mutation property over the DER of every named-profile certificate,
+// classical and post-quantum: the shared parents and one issued leaf per
+// profile and chain profile. Every truncation, single-byte corruption
+// and appended garbage either decodes or throws codec_error; under
+// tools/verify.sh --sanitize an out-of-bounds read fails it too.
+TEST(DerMutation, NamedProfileCertificatesDecodeOrThrowCodecError) {
+  const ca::ecosystem eco = ca::ecosystem::make();
+  std::vector<const certificate*> certs;
+  std::vector<chain> issued;
+  rng issue_rng{41};
+  for (const ca::chain_profile& p : eco.profiles()) {
+    for (const auto* parents : {&p.parents, &p.parents_pqc}) {
+      for (const auto& parent : *parents) {
+        if (std::ranges::find(certs, parent.get()) == certs.end()) {
+          certs.push_back(parent.get());
+        }
+      }
+    }
+    for (const pq_profile pq : all_pq_profiles()) {
+      issued.push_back(eco.issue(p, "mutant.example", issue_rng, pq));
+    }
+  }
+  for (const chain& c : issued) {
+    certs.push_back(&c.leaf());
+  }
+  rng r{0x6465'726d'7574ULL};
+  for (const certificate* cert : certs) {
+    ASSERT_NO_THROW(read_back(cert->der())) << cert->describe();
+    SCOPED_TRACE(cert->describe());
+    test::check_mutants(cert->der(), r, [](bytes_view der) {
+      return test::decodes_or_rejects([der] { read_back(der); });
+    });
+  }
+}
 
 }  // namespace
 }  // namespace certquic::x509
