@@ -1,4 +1,4 @@
-// Seeded mutational driver for decoders of external bytes.
+// Seeded mutation harness for decoders of external bytes.
 //
 // Every mutant derives from a valid input and the caller's
 // `certquic::rng`, so a failure reproduces bit-for-bit from the seed.
