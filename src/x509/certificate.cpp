@@ -1,7 +1,5 @@
 #include "x509/certificate.hpp"
 
-#include <algorithm>
-
 #include "asn1/der.hpp"
 #include "x509/oids.hpp"
 
@@ -19,6 +17,15 @@ certificate::certificate(const certificate_spec& spec, rng& r)
     write();
     return w.size() - before;
   };
+  // The writer widens a length as its TLV closes and shifts the content
+  // right, so a position is final only once every TLV around it has
+  // closed, but a distance is final once every TLV inside it has. The
+  // Names and the SAN value are found by where they end, back from the
+  // end of the TBSCertificate content (where the Extensions end too).
+  std::size_t issuer_back = 0;
+  std::size_t subject_back = 0;
+  std::size_t san_back = 0;
+  std::size_t after_tbs = 0;
   der_ = asn1::encode([&](asn1::writer& w) {
     w.sequence([&] {
       w.sequence([&] {  // TBSCertificate
@@ -26,11 +33,13 @@ certificate::certificate(const certificate_spec& spec, rng& r)
         w.big_integer(serial_);
         encode_signature_algorithm(w, spec.sig_alg);
         sizes_.issuer = measured(w, [&] { spec.issuer.encode(w); });
+        issuer_back = w.size();
         w.sequence([&] {
           w.utc_time(spec.valid.not_before);
           w.utc_time(spec.valid.not_after);
         });
         sizes_.subject = measured(w, [&] { spec.subject.encode(w); });
+        subject_back = w.size();
         sizes_.public_key_info =
             measured(w, [&] { encode_spki(w, spec.key_alg, r); });
         w.context(3, [&] {
@@ -39,7 +48,10 @@ certificate::certificate(const certificate_spec& spec, rng& r)
               for (const auto& ext : spec.extensions) {
                 const std::size_t size = measured(w, [&] { ext.encode(w); });
                 if (ext.id == oids::subject_alt_name) {
+                  // extnValue's content ends the Extension.
                   san_bytes_ += size;
+                  san_back = w.size();
+                  san_size_ = static_cast<std::uint32_t>(ext.value.size());
                 }
                 if (ext.id == oids::basic_constraints) {
                   // A CA certificate encodes cA=TRUE as a non-empty
@@ -47,49 +59,27 @@ certificate::certificate(const certificate_spec& spec, rng& r)
                   is_ca_ = ext.value.size() > 2;
                 }
               }
+              san_back = w.size() - san_back;
             });
           });
         });
+        issuer_back = w.size() - issuer_back;
+        subject_back = w.size() - subject_back;
       });
-      encode_signature_algorithm(w, spec.sig_alg);
-      sizes_.signature = measured(
-          w, [&] { encode_signature_value(w, spec.sig_alg, r); });
+      after_tbs = measured(w, [&] {
+        encode_signature_algorithm(w, spec.sig_alg);
+        sizes_.signature = measured(
+            w, [&] { encode_signature_value(w, spec.sig_alg, r); });
+      });
     });
   });
   sizes_.total = der_.size();
-
-  // Locate the Names and the SAN value in the finished DER: the writer
-  // shifts content right as it back-patches each enclosing length, so
-  // offsets seen while writing are not final.
-  buffer_reader outer{der_};
-  buffer_reader cert{asn1::read_tlv(outer).content};
-  buffer_reader tbs{asn1::read_tlv(cert).content};
-  // Offset of an element of `size` bytes that ends where `t` ends.
-  auto start_of = [this](const asn1::tlv& t, std::size_t size) {
-    return static_cast<std::uint32_t>(t.content.data() + t.content.size() -
-                                      der_.data() - size);
-  };
-  for (int i = 0; i < 3; ++i) {  // version, serialNumber, signature
-    (void)asn1::read_tlv(tbs);
-  }
-  issuer_offset_ = start_of(asn1::read_tlv(tbs), sizes_.issuer);
-  (void)asn1::read_tlv(tbs);  // validity
-  subject_offset_ = start_of(asn1::read_tlv(tbs), sizes_.subject);
-  (void)asn1::read_tlv(tbs);  // subjectPublicKeyInfo
-  buffer_reader tagged{asn1::read_tlv(tbs).content};  // [3]
-  buffer_reader extensions{asn1::read_tlv(tagged).content};
-  while (!extensions.empty()) {
-    buffer_reader ext{asn1::read_tlv(extensions).content};
-    if (std::ranges::equal(asn1::read_tlv(ext).content,
-                           oids::subject_alt_name.content())) {
-      asn1::tlv value = asn1::read_tlv(ext);  // critical, or extnValue
-      if (!ext.empty()) {
-        value = asn1::read_tlv(ext);
-      }
-      san_offset_ = start_of(value, value.content.size());
-      san_size_ = static_cast<std::uint32_t>(value.content.size());
-    }
-  }
+  const std::size_t tbs_end = der_.size() - after_tbs;
+  issuer_offset_ =
+      static_cast<std::uint32_t>(tbs_end - issuer_back - sizes_.issuer);
+  subject_offset_ =
+      static_cast<std::uint32_t>(tbs_end - subject_back - sizes_.subject);
+  san_offset_ = static_cast<std::uint32_t>(tbs_end - san_back - san_size_);
 }
 
 std::vector<std::string> certificate::subject_alt_names() const {
