@@ -81,9 +81,11 @@ distinguished_name distinguished_name::from_der(bytes_view der) {
 
 std::string distinguished_name::common_name() const {
   std::string out;
+  bool found = false;
   for_each_attribute(der(), [&](bytes_view type, bytes_view value) {
-    if (std::ranges::equal(type, oids::common_name.content())) {
+    if (!found && std::ranges::equal(type, oids::common_name.content())) {
       out.assign(value.begin(), value.end());
+      found = true;
     }
   });
   return out;

@@ -37,7 +37,7 @@ class distinguished_name {
     return der_.empty() ? bytes_view{kEmpty} : bytes_view{der_};
   }
 
-  /// Returns the CN value or "" when absent.
+  /// Returns the first CN value or "" when absent.
   [[nodiscard]] std::string common_name() const;
 
   /// Writes the DER RDNSequence.

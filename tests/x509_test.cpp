@@ -102,6 +102,21 @@ TEST(DistinguishedName, EmptyNameIsTheEmptyRdnSequence) {
   EXPECT_TRUE(empty == distinguished_name::from_der(bytes{0x30, 0x00}));
 }
 
+TEST(DistinguishedName, CommonNameIsTheFirstCn) {
+  // CN=first, CN=second: the RDNs of two one-CN names in one sequence.
+  const auto first = distinguished_name::cn("first");
+  const auto second = distinguished_name::cn("second");
+  const bytes der = asn1::encode([&](asn1::writer& w) {
+    w.sequence([&] {
+      w.raw(first.der().subspan(2));
+      w.raw(second.der().subspan(2));
+    });
+  });
+  const auto dn = distinguished_name::from_der(der);
+  EXPECT_EQ(dn.common_name(), "first");
+  EXPECT_EQ(dn.to_string(), "CN=first, CN=second");
+}
+
 TEST(DistinguishedName, MalformedDerThrowsCodecError) {
   // A SET where the RDNSequence belongs, a truncated RDN, and a
   // trailing byte after the sequence.
