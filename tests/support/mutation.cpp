@@ -5,8 +5,7 @@
 namespace certquic::test {
 
 void check_mutants(bytes_view input, rng& r,
-                   const std::function<bool(bytes_view)>& accepts,
-                   int garbage_rounds) {
+                   const std::function<bool(bytes_view)>& accepts) {
   for (std::size_t cut = 0; cut < input.size(); ++cut) {
     EXPECT_TRUE(accepts(input.first(cut))) << "cut at " << cut;
   }
@@ -17,7 +16,7 @@ void check_mutants(bytes_view input, rng& r,
     EXPECT_TRUE(accepts(flipped)) << "byte " << pos << " ^ " << int{mask};
     flipped[pos] ^= mask;
   }
-  for (int round = 0; round < garbage_rounds; ++round) {
+  for (int round = 0; round < 16; ++round) {
     bytes extended(input.begin(), input.end());
     bytes garbage(static_cast<std::size_t>(r.uniform(1, 64)));
     r.fill(garbage);

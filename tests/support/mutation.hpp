@@ -27,11 +27,10 @@ template <typename Decode>
 
 /// Calls `accepts(mutant)` on every truncation of `input`, then on
 /// `input` with each byte in turn XORed by a mask drawn from `r` in
-/// [1, 255], then on `garbage_rounds` copies with 1-64 bytes from `r`
-/// appended, and fails the running test, naming the mutant, wherever it
-/// returns false. Run under ASan+UBSan, an out-of-bounds read fails too.
+/// [1, 255], then on 16 copies with 1-64 bytes from `r` appended, and
+/// fails the running test, naming the mutant, wherever it returns false.
+/// Run under ASan+UBSan, an out-of-bounds read fails too.
 void check_mutants(bytes_view input, rng& r,
-                   const std::function<bool(bytes_view)>& accepts,
-                   int garbage_rounds = 16);
+                   const std::function<bool(bytes_view)>& accepts);
 
 }  // namespace certquic::test
